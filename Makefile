@@ -73,8 +73,9 @@ benchgate:
 benchgate-smoke:
 	sh tools/benchgatesmoke.sh
 
-# Fused-tier smoke: the superinstruction tier must not be slower than
-# the predecoded tier on a real kernel (1.2x guard band for CI noise).
+# Fused-tier smoke: on the same engine, fusion on (the fused tier) must
+# not be slower than fusion off (the fast tier) on a real kernel (1.2x
+# guard band for CI noise).
 fuse-bench:
 	REPRO_FUSEBENCH=1 $(GO) test -run TestFusedTierNotSlower -count=1 -v .
 

@@ -37,7 +37,7 @@ func TestMain(m *testing.M) {
 	flag.Parse()
 	exp.SetParallelism(*parallelFlag)
 	// REPRO_TIER selects the execution tier for every machine: slow (the
-	// differential-testing oracle), fast (predecoded), or fused (the
+	// differential-testing oracle), fast (fusion off), or fused (the
 	// default, profile-guided superinstructions) — for before/after
 	// comparisons. REPRO_SLOWPATH=1 is the legacy spelling of
 	// REPRO_TIER=slow.

@@ -12,8 +12,9 @@ import (
 )
 
 // TestFusedTierNotSlower is the fuse-bench smoke (`make fuse-bench`):
-// it times one kernel on the predecoded tier and on the fused tier and
-// fails if fusion makes dispatch slower. It is a wall-clock measurement,
+// it times one kernel on the same engine with fusion off (the fast
+// tier) and on (the fused tier) and fails if fusion makes dispatch
+// slower. It is a wall-clock measurement,
 // so it is gated behind REPRO_FUSEBENCH=1 and allows a noise margin;
 // the correctness of the fused tier is covered by the differential
 // tests, this guards the perf claim.

@@ -2,16 +2,17 @@ package cpu
 
 import "repro/internal/x86"
 
-// This file implements the predecoded fast path's instruction format.
-// The emulator's portable loop (runSlow, the oracle) re-discovers
-// operand kinds, register numbers, and segment bases through nested
-// switches on every executed instruction. Predecoding resolves all of
-// that once per Program into a flat array of dinst values: operand
-// kinds collapse to a byte, effective-address recipes are precomputed
-// (base/index register numbers, scale, sign-extended displacement,
-// segment selector), and per-instruction encoded lengths are inlined so
-// the fetch-cost computation needs no second slice lookup. The decoded
-// form is immutable and shared by every Machine running the Program.
+// This file implements the predecoded instruction format the optimized
+// engine (runFused) dispatches on. The emulator's portable loop
+// (runSlow, the oracle) re-discovers operand kinds, register numbers,
+// and segment bases through nested switches on every executed
+// instruction. Predecoding resolves all of that once per Program into
+// a flat array of dinst values: operand kinds collapse to a byte,
+// effective-address recipes are precomputed (base/index register
+// numbers, scale, sign-extended displacement, segment selector), and
+// per-instruction encoded lengths are inlined so the fetch-cost
+// computation needs no second slice lookup. The decoded form is
+// immutable and shared by every Machine running the Program.
 
 // Predecoded operand kinds (daccess.kind).
 const (
@@ -35,7 +36,7 @@ const (
 // dRegNone marks an absent base/index register.
 const dRegNone = 0xFF
 
-// daccess is a predecoded operand: everything the fast path needs to
+// daccess is a predecoded operand: everything the engine needs to
 // read or write it without consulting x86.Operand again.
 type daccess struct {
 	kind   uint8
@@ -67,11 +68,6 @@ type dinst struct {
 	ilen     int32
 	dst, src daccess
 	targets  []int // JTAB targets (shared with the x86.Inst; read-only)
-}
-
-// decFunc is one predecoded function.
-type decFunc struct {
-	insts []dinst
 }
 
 func decodeAccess(o x86.Operand) daccess {
@@ -135,14 +131,16 @@ func decodeInst(in *x86.Inst, ilen int) dinst {
 	}
 }
 
-// decoded returns the predecoded program, building it on first use.
-// The result is shared by every Machine bound to this Program; it must
-// never be mutated.
-func (p *Program) decoded() []decFunc {
+// decoded returns the singleton stream — the predecoded program with
+// no fused groups — building it on first use. TierFast runs it
+// directly, the fused tier profiles on it, and fuseProgram copies it
+// when it forms groups. It is shared by every Machine bound to this
+// Program and must never be mutated.
+func (p *Program) decoded() *fusedProg {
 	p.decOnce.Do(func() {
-		p.dec = make([]decFunc, len(p.Funcs))
+		p.dec.funcs = make([]ffunc, len(p.Funcs))
 		for fi, f := range p.Funcs {
-			df := decFunc{insts: make([]dinst, len(f.Insts))}
+			insts := make([]finst, len(f.Insts))
 			for i := range f.Insts {
 				// The slow path assumes 4 encoded bytes when the
 				// compiler skipped Encode; mirror that.
@@ -150,10 +148,10 @@ func (p *Program) decoded() []decFunc {
 				if i < len(f.InstLens) {
 					ilen = f.InstLens[i]
 				}
-				df.insts[i] = decodeInst(&f.Insts[i], ilen)
+				insts[i].dinst = decodeInst(&f.Insts[i], ilen)
 			}
-			p.dec[fi] = df
+			p.dec.funcs[fi] = ffunc{insts: insts}
 		}
 	})
-	return p.dec
+	return &p.dec
 }

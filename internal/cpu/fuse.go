@@ -19,12 +19,12 @@ import (
 // not "ALU"), so the group executor runs each constituent with one dense
 // dispatch and no second-level operand or opcode switches.
 //
-// The fused stream is an overlay: finsts are same-indexed with the
-// predecoded dinst array, a group rewrites only its head entry, and
-// interior entries remain valid singletons. Branches into the middle of
-// a group, return addresses (always original indices), epoch resume,
-// and trap attribution therefore need no pc mapping at all. Groups
-// additionally never span a branch target (a "leader"), so the back
+// The fused stream is an overlay: it is a copy of the singleton stream
+// (decoded), same-indexed with it, in which a group rewrites only its
+// head entry and interior entries remain valid singletons. Branches
+// into the middle of a group, return addresses (always original
+// indices), epoch resume, and trap attribution therefore need no pc
+// mapping at all. Groups additionally never span a branch target (a "leader"), so the back
 // edge of a loop always lands on a group head, not an interior
 // singleton — that is what makes fusion effective on loop bodies.
 //
@@ -32,7 +32,7 @@ import (
 // Stats.Cycles is a float64 and float addition is not associative, so
 // each constituent's precomputed cost is charged sequentially in
 // original program order (cs[pc], cs[pc+1], ...) interleaved with
-// memory penalties exactly as the unfused engines charge them. That is
+// memory penalties exactly as singleton dispatch charges them. That is
 // what keeps fused runs bit-identical to the slow-path oracle.
 
 // opGroup is the fused-group opcode. It sits just past the defined
@@ -45,9 +45,9 @@ const opGroup = x86.Op(x86.OpCount)
 const maxGroup = 16
 
 // Micro-step kinds (fstep.kind). Each mirrors exactly one operand shape
-// of one operation of one runFast case; classifyStep only produces a
-// step when the instruction matches that shape, so the step executors
-// are straight-line code behind a single dense switch.
+// of one operation of one singleton case in runFused; classifyStep only
+// produces a step when the instruction matches that shape, so the step
+// executors are straight-line code behind a single dense switch.
 const (
 	fsMovRR uint8 = iota // MOV reg<-reg, w>=32
 	fsMovRI              // MOV reg<-imm, w>=32
@@ -120,22 +120,24 @@ type fstep struct {
 	mem    *daccess // memory recipe, pointing into the shared decoded form
 }
 
-// finst is one entry of the fused stream. It embeds the predecoded
-// instruction, so singleton entries execute through the exact dinst
-// field accesses the predecoded engine uses; group heads rewrite op to
-// opGroup and carry their constituents as micro-steps.
+// finst is one entry of an instruction stream. It embeds the predecoded
+// instruction, which singleton entries execute directly; group heads
+// (fused stream only) rewrite op to opGroup and carry their
+// constituents as micro-steps.
 type finst struct {
 	dinst
 	steps   []fstep // len>=2 for group heads, nil otherwise
 	gxBytes uint32  // constituents' encoded bytes, excluding the head
 }
 
-// ffunc is one function's fused stream, same-indexed with its decFunc.
+// ffunc is one function's instruction stream, same-indexed with its
+// Func.Insts.
 type ffunc struct {
 	insts []finst
 }
 
-// fusedProg is a Program's fused form.
+// fusedProg is a Program's instruction stream: the singleton stream
+// (Program.decoded, no groups) or the fused stream built from it.
 type fusedProg struct {
 	funcs  []ffunc
 	blocks int // number of fused groups, for telemetry and tests
@@ -150,7 +152,7 @@ var (
 // hold p.fuseMu and have checked fusedP is still nil.
 func (p *Program) buildFusedLocked(eager bool) {
 	start := time.Now()
-	dec := p.decoded()
+	dec := p.decoded().funcs
 	// Hotness is per function, like a tiered JIT promoting whole hot
 	// functions: a function whose profiled execution count crosses the
 	// threshold is fused in full, so phases of it the warmup window
@@ -158,18 +160,9 @@ func (p *Program) buildFusedLocked(eager bool) {
 	// (meaningfully) saw stay as singleton streams.
 	hotFn := make([]bool, len(dec))
 	for fn := range dec {
-		if eager {
-			hotFn[fn] = true
-			continue
-		}
-		var sum uint64
-		for _, c := range p.profAgg[fn] {
-			sum += uint64(c)
-		}
-		hotFn[fn] = sum >= uint64(fuseHotCount)
+		hotFn[fn] = eager || p.profAgg[fn] >= uint64(fuseHotCount)
 	}
-	hot := func(fn, pc int) bool { return hotFn[fn] }
-	fp := fuseProgram(dec, hot)
+	fp := fuseProgram(dec, hotFn)
 	p.fuseBuilds.Add(1)
 	p.profAgg = nil // profiling is over; free the counts
 	if telemetry.Enabled() {
@@ -184,7 +177,7 @@ func (p *Program) buildFusedLocked(eager bool) {
 // plus the resume points after calls and epoch checks. Groups never
 // span a leader, so control flow always re-enters the fused stream at
 // a group head rather than a group's unfused interior.
-func leaders(insts []dinst) []bool {
+func leaders(insts []finst) []bool {
 	ld := make([]bool, len(insts))
 	mark := func(t int) {
 		if t >= 0 && t < len(ld) {
@@ -208,20 +201,23 @@ func leaders(insts []dinst) []bool {
 	return ld
 }
 
-// fuseProgram copies the decoded program into a fused stream, forming
-// superinstruction groups at hot heads. Formation is greedy and
-// non-overlapping: at each hot pc it takes the longest classifiable run
-// (up to maxGroup) that does not cross a leader, requires at least two
-// constituents, and allows a branch only as the final constituent.
-func fuseProgram(dec []decFunc, hot func(fn, pc int) bool) *fusedProg {
+// fuseProgram copies the singleton stream into a fused stream, forming
+// superinstruction groups in hot functions; cold functions share their
+// singleton stream unchanged. Formation is greedy and non-overlapping:
+// at each pc it takes the longest classifiable run (up to maxGroup)
+// that does not cross a leader, requires at least two constituents,
+// and allows a branch only as the final constituent.
+func fuseProgram(dec []ffunc, hot []bool) *fusedProg {
 	fp := &fusedProg{funcs: make([]ffunc, len(dec))}
 	for fn := range dec {
+		if !hot[fn] {
+			fp.funcs[fn] = dec[fn]
+			continue
+		}
 		insts := dec[fn].insts
 		ld := leaders(insts)
 		out := make([]finst, len(insts))
-		for pc := range insts {
-			out[pc].dinst = insts[pc]
-		}
+		copy(out, insts)
 		// All of a function's steps go into one contiguous arena, laid
 		// out in execution order, so the group executor walks a dense
 		// array instead of chasing a fresh allocation per group. Group
@@ -231,17 +227,13 @@ func fuseProgram(dec []decFunc, hot func(fn, pc int) bool) *fusedProg {
 		type groupRef struct{ pc, off, n int }
 		var groups []groupRef
 		for pc := 0; pc < len(insts); {
-			if !hot(fn, pc) {
-				pc++
-				continue
-			}
 			start := len(arena)
 			var xBytes uint32
 			for i := pc; i < len(insts) && len(arena)-start < maxGroup; i++ {
 				if i > pc && ld[i] {
 					break // never span a branch target
 				}
-				st, ok := classifyStep(&insts[i])
+				st, ok := classifyStep(&insts[i].dinst)
 				if !ok {
 					break
 				}
@@ -305,7 +297,7 @@ var fKinds = map[x86.Op]uint8{
 // reports that it cannot be a group constituent. Register-writing
 // steps are restricted to w>=32 so executors use the zero-extending
 // write without the 8/16-bit merge path; anything else stays a
-// singleton and runs through the mirrored full dispatch.
+// singleton and runs through the full singleton dispatch.
 func classifyStep(in *dinst) (fstep, bool) {
 	st := fstep{op: in.op, w: in.w, srcW: in.srcW, cond: in.cond}
 	wide := in.w >= x86.W32

@@ -32,7 +32,7 @@ func TestFuseFormerShapes(t *testing.T) {
 	f := fuseLoop()
 	f.Encode()
 	p := &Program{Funcs: []*Func{f}}
-	fp := fuseProgram(p.decoded(), func(fn, pc int) bool { return true })
+	fp := fuseProgram(p.decoded().funcs, []bool{true})
 
 	insts := fp.funcs[0].insts
 	type g struct{ pc, n int }
@@ -70,7 +70,7 @@ func TestFuseFormerShapes(t *testing.T) {
 
 	// Interior entries stay valid singletons: branching into the middle
 	// of a group must execute the original instruction.
-	dec := p.decoded()[0].insts
+	dec := p.decoded().funcs[0].insts
 	for _, pc := range []int{1, 3, 5, 6} {
 		if insts[pc].op != dec[pc].op {
 			t.Fatalf("interior pc %d op rewritten: %v != %v", pc, insts[pc].op, dec[pc].op)
@@ -88,7 +88,7 @@ func TestFuseFormerShapes(t *testing.T) {
 }
 
 // TestFuseProfileTriggered checks the profile-guided path end to end:
-// a fused-tier machine profiles on the predecoded engine, crosses the
+// a fused-tier machine profiles on the singleton stream, crosses the
 // warmup threshold mid-call, builds the fused stream exactly once, and
 // finishes with the bit-identical result.
 func TestFuseProfileTriggered(t *testing.T) {
@@ -143,6 +143,46 @@ func TestFuseProfileTriggered(t *testing.T) {
 	}
 	if got := m.Prog.FuseBuilds(); got != 1 {
 		t.Fatalf("FuseBuilds = %d after second call, want 1", got)
+	}
+}
+
+// TestProfileCountsPerFunction checks the profile pass's attribution:
+// a caller and callee that cross frames on every iteration each get
+// exactly the instructions they retired, and the counts sum to
+// Stats.Insts.
+func TestProfileCountsPerFunction(t *testing.T) {
+	restore := SetFuseWarmup(1<<40, 1) // never bail, never build
+	defer restore()
+
+	caller := &Func{Name: "caller", Insts: []x86.Inst{
+		{Op: x86.XOR, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.R(x86.RCX)}, // 0
+		{Op: x86.CMP, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.R(x86.RDI)}, // 1
+		{Op: x86.JCC, Cond: x86.CondGE, Dst: x86.Label(6)},                  // 2
+		{Op: x86.CALLFN, Dst: x86.Imm(1)},                                   // 3
+		{Op: x86.ADD, W: x86.W64, Dst: x86.R(x86.RCX), Src: x86.Imm(1)},     // 4
+		{Op: x86.JMP, Dst: x86.Label(1)},                                    // 5
+		{Op: x86.RET},                                                       // 6
+	}}
+	callee := &Func{Name: "callee", Insts: []x86.Inst{
+		{Op: x86.MOV, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.Imm(9)},
+		{Op: x86.RET},
+	}}
+	m, _ := testEnv(t, caller, callee)
+	m.Tier = TierFused
+	const n = 10
+	if err := m.Call(0, n); err != nil {
+		t.Fatal(err)
+	}
+	if m.Prog.FuseBuilds() != 0 {
+		t.Fatal("fused stream built below the warmup threshold")
+	}
+	want := []uint64{5*n + 4, 2 * n}
+	got := m.Prog.profAgg
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("per-function counts = %v, want %v", got, want)
+	}
+	if got[0]+got[1] != m.Stats.Insts {
+		t.Fatalf("counts sum to %d, Stats.Insts = %d", got[0]+got[1], m.Stats.Insts)
 	}
 }
 

@@ -12,25 +12,28 @@ import (
 	"repro/internal/x86"
 )
 
-// Tier selects which execution engine a Machine dispatches through.
-// Every tier produces bit-identical architectural state, Stats, and
-// traps; they differ only in how much work is resolved ahead of the
-// dispatch loop.
+// Tier selects how a Machine executes. There are two engines: runSlow,
+// the oracle, and runFused, the optimized engine; TierFast and
+// TierFused both run the latter, with fusion off and on. Every tier
+// produces bit-identical architectural state, Stats, and traps; they
+// differ only in how much work is resolved ahead of the dispatch loop.
 type Tier uint8
 
 // Execution tiers, from oracle to most optimized.
 const (
-	// TierSlow is the original portable interpreter: operand kinds,
-	// segment bases, and encoded lengths are re-resolved on every step.
-	// It is the differential-testing oracle the other tiers are pinned
-	// against.
+	// TierSlow is the original portable interpreter (runSlow): operand
+	// kinds, segment bases, and encoded lengths are re-resolved on every
+	// step. It is the differential-testing oracle the other tiers are
+	// pinned against.
 	TierSlow Tier = iota
-	// TierFast executes the predecoded dinst stream (decode.go).
+	// TierFast is the optimized engine (runFused) with fusion off: it
+	// executes the singleton stream, the predecoded program with no
+	// superinstruction groups (decode.go).
 	TierFast
-	// TierFused executes the predecoded stream until a lightweight
-	// profile pass identifies hot code, then switches to a fused
-	// superinstruction stream (fuse.go) built once per Program and
-	// shared by every Machine running it.
+	// TierFused is the optimized engine with fusion on, and the default:
+	// it profiles on the singleton stream until hot code is identified,
+	// then switches to a fused superinstruction stream (fuse.go) built
+	// once per Program and shared by every Machine running it.
 	TierFused
 )
 
@@ -143,12 +146,10 @@ type Machine struct {
 	frames []frame
 	bpred  []uint8 // 2-bit bimodal predictor
 
-	// profCounts holds per-function per-pc execution counts while a
-	// fused-tier machine is in its profiling warmup; nil otherwise, so
-	// the fast path's gate is one hoisted nil check per frame. profLeft
-	// is the remaining per-Run profile budget (see profile.go).
-	profCounts [][]uint32
-	profLeft   int64
+	// profCounts holds per-function retired-instruction counts while a
+	// fused-tier machine is in its profiling warmup; nil once the fused
+	// stream exists (see profile.go).
+	profCounts []uint64
 
 	// Per-machine opcode cost table, derived from Cost on first use
 	// and rebuilt whenever Cost changes (CostModel is comparable).
@@ -157,17 +158,17 @@ type Machine struct {
 	costTabOK  bool
 
 	// Per-instruction base costs (fetch + opcode class) for the
-	// predecoded program, precomputed so the fast path's hot loop
+	// predecoded program, precomputed so the optimized engine's hot loop
 	// replaces a float division and two table lookups per step with one
 	// slice read. Rebuilt when Cost changes.
 	dcost    [][]float64
 	dcostFor CostModel
 	dcostOK  bool
 
-	// mtc is the fast path's access-grant cache: per-page protection,
-	// pkey, and backing-page pointer, validated against the address
-	// space's mapping generation. It lets the fused load/store fast
-	// path skip the VMA walk and page-map hash on the hot path.
+	// mtc is the optimized engine's access-grant cache: per-page
+	// protection, pkey, and backing-page pointer, validated against the
+	// address space's mapping generation. It lets the fused load/store
+	// fast path skip the VMA walk and page-map hash on the hot path.
 	mtc    [mtcSize]mtcEntry
 	mtcGen uint64
 }
@@ -229,7 +230,7 @@ func (m *Machine) opCosts() *[opCostTabSize]float64 {
 // dcost[fn][pc] = fetch cost + opcode cost, computed with the exact
 // expression runSlow evaluates per step, so accumulating the
 // precomputed sum is bit-identical to computing it inline.
-func (m *Machine) instCosts(dec []decFunc) [][]float64 {
+func (m *Machine) instCosts(dec []ffunc) [][]float64 {
 	if m.dcostOK && m.dcostFor == m.Cost && len(m.dcost) == len(dec) {
 		return m.dcost
 	}
@@ -551,10 +552,11 @@ var (
 // the epoch deadline fires. After a resumable TrapEpoch, calling Run
 // again continues execution.
 //
-// The engine is selected by Tier (predecoded fast path by default via
-// SetDefaultTier; TierSlow forces the original portable loop, the
-// differential-testing oracle; TierFused adds profile-guided
-// superinstruction fusion). All tiers produce bit-identical
+// The engine is selected by Tier: TierFused (the default, see
+// SetDefaultTier) runs the optimized engine with profile-guided
+// superinstruction fusion, TierFast runs it on the unfused singleton
+// stream, and TierSlow forces the original portable loop, the
+// differential-testing oracle. All tiers produce bit-identical
 // architectural state and Stats.
 func (m *Machine) Run() error {
 	if !telemetry.Enabled() {
@@ -564,7 +566,7 @@ func (m *Machine) Run() error {
 		case TierFused:
 			return m.runTiered(false)
 		default:
-			return m.runFast()
+			return m.runFused(m.Prog.decoded(), nil)
 		}
 	}
 	before := m.Stats.Insts
@@ -578,7 +580,7 @@ func (m *Machine) Run() error {
 		err = m.runTiered(true)
 	default:
 		ctrDispatchFast.Inc()
-		err = m.runFast()
+		err = m.runFused(m.Prog.decoded(), nil)
 	}
 	ctrInstsRetired.Add(m.Stats.Insts - before)
 	return err
@@ -586,8 +588,7 @@ func (m *Machine) Run() error {
 
 // runSlow is the original interpreter loop: operand kinds, segment
 // bases, and encoded lengths are re-resolved on every step. It is kept
-// as the oracle the predecoded fast path is differentially tested
-// against.
+// as the oracle the optimized engine is differentially tested against.
 func (m *Machine) runSlow() error {
 	for len(m.frames) > 0 {
 		fr := &m.frames[len(m.frames)-1]

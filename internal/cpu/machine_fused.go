@@ -7,46 +7,80 @@ import (
 	"repro/internal/x86"
 )
 
-// This file is the fused execution engine (tier 2). runFused is a
-// line-for-line mirror of runFast in machine_fast.go operating on the
-// fused finst stream from fuse.go: singleton entries carry the same
-// predecoded fields (finst embeds dinst) and execute through identical
-// code, and group heads dispatch once for two or three constituents
-// whose operand recipes were fully resolved at fuse time.
+// This file is the optimized execution engine. runFused dispatches on
+// an instruction stream from fuse.go: either the singleton stream
+// (Program.decoded — the predecoded program with no groups, which
+// TierFast runs and the fused tier profiles on) or the fused stream
+// built from it, whose group heads dispatch once for a run of
+// constituents with fully resolved operand recipes. Singleton entries
+// mirror runSlow in machine.go case for case: operand dispatch happens
+// on a predecoded byte, effective addresses come from a precomputed
+// recipe, encoded lengths are inline, and base costs come from a dense
+// per-machine table.
 //
-// The invariants that keep this tier bit-identical to the oracle:
+// The invariants that keep this engine bit-identical to the oracle:
 //   - each constituent charges its own precomputed base cost cs[pc+i]
 //     in original program order (float accumulation order is part of
 //     the architecture here), with memory penalties interleaved exactly
-//     where the unfused engines charge them;
+//     where singleton dispatch charges them;
 //   - Insts/BytesFetched are integer accumulators, so a group batches
 //     them;
 //   - fr.pc is set to the constituent's original index before any step
 //     that can trap, so Trap{Fn,PC} and fault resume points match;
-//   - the fused stream is same-indexed with the decoded stream, so
+//   - the fused stream is same-indexed with the singleton stream, so
 //     branch targets, return addresses, and epoch resume need no
 //     translation, and branching into the middle of a group lands on a
 //     plain singleton copy of that instruction.
 //
-// Any semantic change in runSlow/runFast must be mirrored here; the
-// differential tests in machine_fast_test.go, fuse_test.go, and
-// internal/rt pin all three engines against each other.
+// Any semantic change in runSlow must be mirrored here; the
+// differential tests in machine_diff_test.go, fuse_test.go, and
+// internal/rt pin the two engines against each other.
 
-// runFused executes using the fused stream. Semantics, trap behaviour,
-// and Stats accounting are bit-identical to runSlow and runFast.
-func (m *Machine) runFused(fp *fusedProg) error {
-	dec := m.Prog.decoded()
-	dcost := m.instCosts(dec)
+// runFused executes the stream fp. Semantics, trap behaviour, and Stats
+// accounting are bit-identical to runSlow.
+//
+// A non-nil prof makes this a profiling run (see profile.go): retired
+// instructions are attributed to prof[fn] per function, and after
+// exactly fuseWarmupInsts instructions the run stops at an instruction
+// boundary with errProfileBudget. Profiling runs use the singleton
+// stream, so every entry retires one instruction and the bail point is
+// exact.
+func (m *Machine) runFused(fp *fusedProg, prof []uint64) error {
+	dcost := m.instCosts(m.Prog.decoded().funcs)
+	// Insts and BytesFetched are pure accumulators — nothing reads them
+	// until the run completes — so they live in locals and flush once on
+	// exit instead of paying two read-modify-writes per instruction.
+	// Cycles stays canonical in m.Stats: memCost, traps, and host calls
+	// read and update it mid-run. The profile budget is compared against
+	// the same nInsts local; it never fires when not profiling.
 	var nInsts, nBytes uint64
+	budget := ^uint64(0)
+	profFn, profMark := 0, uint64(0)
+	if prof != nil {
+		budget = uint64(fuseWarmupInsts)
+	}
 	defer func() {
 		m.Stats.Insts += nInsts
 		m.Stats.BytesFetched += nBytes
+		if prof != nil && nInsts != profMark {
+			prof[profFn] += nInsts - profMark
+		}
 	}()
 frames:
 	for len(m.frames) > 0 {
+		// Hoist the per-frame state: the instruction and cost slices only
+		// change when the frame stack does (call/ret/host), so the inner
+		// loop dispatches straight off two locals instead of re-indexing
+		// fp and dcost through fr.fn on every instruction.
 		fr := &m.frames[len(m.frames)-1]
 		insts := fp.funcs[fr.fn].insts
-		cs := dcost[fr.fn][:len(insts)] // same length as the decoded stream
+		cs := dcost[fr.fn][:len(insts)] // same length, so cs[pc] shares insts' bounds check
+		if prof != nil {
+			// Frame switch: charge the instructions retired since the
+			// last switch to the function that retired them.
+			prof[profFn] += nInsts - profMark
+			profFn, profMark = fr.fn, nInsts
+		}
 		for {
 			pc := fr.pc
 			if uint(pc) >= uint(len(insts)) {
@@ -54,6 +88,12 @@ frames:
 			}
 			in := &insts[pc]
 
+			if nInsts >= budget {
+				// Bail at the instruction boundary: nothing executed or
+				// charged yet and fr.pc == pc, so runTiered can resume
+				// this exact instruction on the fused stream.
+				return errProfileBudget
+			}
 			nInsts++
 			nBytes += uint64(in.ilen)
 			m.Stats.Cycles += cs[pc]
@@ -347,6 +387,11 @@ frames:
 			case x86.NOP:
 
 			case x86.MOV:
+				// Register operands are open-coded in the hot integer cases:
+				// readOpD/writeOpD are one call too large for the inliner, and
+				// this dispatch path is where the emulator spends its time.
+				// The &15/&31 index masks are no-ops for valid operands and
+				// let the compiler drop the bounds checks.
 				var v uint64
 				if in.src.kind == dReg {
 					v = m.Regs[in.src.reg&15] & wmask[in.w&31]

@@ -6,14 +6,17 @@ import (
 )
 
 // This file is the fused tier's profile pass. A fused-tier Machine runs
-// the predecoded engine with per-pc execution counting switched on (a
-// single hoisted nil check per frame gates it, so fast-tier machines
-// pay nothing) until its per-Run instruction budget runs out. The
-// budget check happens at an instruction boundary with fr.pc pointing
-// at the next unexecuted instruction, so the run bails with
-// errProfileBudget, merges its counts into the Program, triggers the
-// one-time fused build, and resumes mid-call on the fused stream — a
-// single long Invoke still reaches the fused tier.
+// the optimized engine (runFused) on the singleton stream — the decoded
+// program with no groups, the same stream TierFast executes — with
+// per-function instruction counting switched on until its per-Run
+// instruction budget runs out. The engine attributes its retired-
+// instruction count to the current function at frame switches and on
+// exit, so counting adds no per-instruction memory write. The budget
+// check happens at an instruction boundary with fr.pc pointing at the
+// next unexecuted instruction, so the run bails with errProfileBudget,
+// merges its counts into the Program, triggers the one-time fused
+// build, and resumes mid-call on the fused stream — a single long
+// Invoke still reaches the fused tier.
 
 // fuseWarmupInsts is both the per-Run profile budget and the merged
 // count at which the fused stream is built. Variables (not constants)
@@ -45,14 +48,15 @@ var fuseEager atomic.Bool
 // coverage to short-running differential and fuzz tests.
 func SetFuseEager(on bool) { fuseEager.Store(on) }
 
-// errProfileBudget is returned by runFast when the profiling budget is
-// exhausted. It never escapes runTiered: the machine state is a valid
-// instruction boundary, so execution continues on the fused stream.
+// errProfileBudget is returned by runFused when a profiling run has
+// retired its budget of fuseWarmupInsts instructions. It never escapes
+// runTiered: the machine state is a valid instruction boundary, so
+// execution continues on the fused stream.
 var errProfileBudget = errors.New("cpu: profile budget reached")
 
 // runTiered is the fused tier's engine selector: execute the fused
-// stream when it exists, otherwise profile on the predecoded engine
-// and build the fused stream once enough counts accumulate.
+// stream when it exists, otherwise profile on the singleton stream and
+// build the fused stream once enough counts accumulate.
 func (m *Machine) runTiered(tele bool) error {
 	p := m.Prog
 	for {
@@ -61,68 +65,48 @@ func (m *Machine) runTiered(tele bool) error {
 			if tele {
 				ctrDispatchFused.Inc()
 			}
-			return m.runFused(fp)
+			return m.runFused(fp, nil)
 		}
 		if fuseEager.Load() {
 			p.buildFusedEager()
 			continue
 		}
-		m.ensureProf()
+		if m.profCounts == nil {
+			m.profCounts = make([]uint64, len(p.Funcs))
+		}
 		if tele {
 			ctrDispatchFast.Inc()
 		}
-		err := m.runFast()
-		p.mergeProfile(m)
+		err := m.runFused(p.decoded(), m.profCounts)
+		p.mergeProfile(m.profCounts)
 		if err != errProfileBudget {
 			return err
 		}
 		// Budget reached mid-run: the merge above crossed the build
 		// threshold, so the next loop iteration resumes on the fused
-		// stream from the exact instruction boundary runFast stopped at.
+		// stream from the exact instruction boundary the profiling run
+		// stopped at.
 	}
 }
 
-// ensureProf arms the profile pass for one Run.
-func (m *Machine) ensureProf() {
-	if m.profCounts == nil {
-		dec := m.Prog.decoded()
-		m.profCounts = make([][]uint32, len(dec))
-		for fn := range dec {
-			m.profCounts[fn] = make([]uint32, len(dec[fn].insts))
-		}
-	}
-	m.profLeft = fuseWarmupInsts
-}
-
-// mergeProfile folds the machine's local counts into the Program's
-// aggregate and builds the fused stream once the merged total crosses
-// the warmup threshold. Per-machine counts are plain increments; only
-// the merge takes the Program lock, so concurrent machines profile
-// race-free.
-func (p *Program) mergeProfile(m *Machine) {
-	if m.profCounts == nil {
-		return
-	}
+// mergeProfile folds one machine's per-function counts into the
+// Program's aggregate, zeroing them, and builds the fused stream once
+// the merged total crosses the warmup threshold. Per-machine counts are
+// plain increments; only the merge takes the Program lock, so
+// concurrent machines profile race-free.
+func (p *Program) mergeProfile(counts []uint64) {
 	p.fuseMu.Lock()
 	defer p.fuseMu.Unlock()
 	if p.fusedP.Load() != nil {
 		return
 	}
 	if p.profAgg == nil {
-		p.profAgg = make([][]uint32, len(m.profCounts))
-		for fn := range m.profCounts {
-			p.profAgg[fn] = make([]uint32, len(m.profCounts[fn]))
-		}
+		p.profAgg = make([]uint64, len(counts))
 	}
-	for fn := range m.profCounts {
-		agg := p.profAgg[fn]
-		for pc, c := range m.profCounts[fn] {
-			if c != 0 {
-				agg[pc] += c
-				p.profTotal += uint64(c)
-				m.profCounts[fn][pc] = 0
-			}
-		}
+	for fn, c := range counts {
+		p.profAgg[fn] += c
+		p.profTotal += c
+		counts[fn] = 0
 	}
 	if p.profTotal >= uint64(fuseWarmupInsts) {
 		p.buildFusedLocked(false)

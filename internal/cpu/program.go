@@ -66,10 +66,11 @@ type Program struct {
 	// HostNames parallels Hosts, for diagnostics.
 	HostNames []string
 
-	// Predecoded fast-path form, built lazily once and shared by all
-	// Machines executing this Program.
+	// Singleton stream (the predecoded form with no fused groups),
+	// built lazily once and shared by all Machines executing this
+	// Program.
 	decOnce sync.Once
-	dec     []decFunc
+	dec     fusedProg
 
 	// Fused tier state (fuse.go/profile.go). The fused stream is built
 	// at most once per Program — from merged per-machine profiles or
@@ -77,8 +78,8 @@ type Program struct {
 	// serves every subsequent Machine (the module cache in internal/rt
 	// shares Programs across instances for exactly this amortization).
 	fuseMu     sync.Mutex
-	profAgg    [][]uint32 // merged per-pc execution counts (under fuseMu)
-	profTotal  uint64     // total profiled instructions (under fuseMu)
+	profAgg    []uint64 // merged per-function instruction counts (under fuseMu)
+	profTotal  uint64   // total profiled instructions (under fuseMu)
 	fusedP     atomic.Pointer[fusedProg]
 	fuseBuilds atomic.Uint32
 }

@@ -115,7 +115,7 @@ func TestCompileModuleCachedConcurrent(t *testing.T) {
 
 // TestFastSlowDifferentialRT runs generated programs through full
 // compile+instantiate under several modes, executing each once per
-// tier — the slow-path oracle, the predecoded fast path, and the fused
+// tier — the slow-path oracle, the fast tier (fusion off), and the fused
 // superinstruction tier (eager, so short programs hit the fused
 // stream) — and asserts checksums, Stats, and linear memory are
 // bit-identical.
