@@ -19,11 +19,13 @@ vet:
 # Pre-PR check: formatting, vet, and the full suite under the race
 # detector. The multi-minute golden-table comparisons (fig3/fig4/fig5/
 # table2) skip themselves under -race; `make test` still runs them.
+# internal/exp alone takes 510-600 s under -race on a 2-vCPU host, at
+# Go's 10-minute default test timeout, so the race run gets 20 minutes.
 ci:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 	sh tools/servesmoke.sh
 	sh tools/tracesmoke.sh
 	sh tools/clustersmoke.sh

@@ -33,23 +33,24 @@ import (
 // go test -bench=Fig3 -j 4
 var parallelFlag = flag.Int("j", 0, "experiment engine parallelism (0 = NumCPU)")
 
+// profile is what every benchmark runs under: the experiments and the
+// instances the substrate benchmarks build. REPRO_TIER sets its tier.
+var profile exp.Profile
+
 func TestMain(m *testing.M) {
 	flag.Parse()
 	exp.SetParallelism(*parallelFlag)
-	// REPRO_TIER selects the execution tier for every machine: slow (the
+	// REPRO_TIER selects the execution tier: slow (the
 	// differential-testing oracle), fast (fusion off), or fused (the
 	// default, profile-guided superinstructions) — for before/after
-	// comparisons. REPRO_SLOWPATH=1 is the legacy spelling of
-	// REPRO_TIER=slow.
+	// comparisons.
 	if s := os.Getenv("REPRO_TIER"); s != "" {
 		tier, err := cpu.ParseTier(s)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "REPRO_TIER: %v\n", err)
 			os.Exit(2)
 		}
-		cpu.SetDefaultTier(tier)
-	} else if os.Getenv("REPRO_SLOWPATH") != "" {
-		cpu.SetDefaultTier(cpu.TierSlow)
+		profile.Tier = tier
 	}
 	os.Exit(m.Run())
 }
@@ -79,7 +80,7 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		exp.TakeSimCycles() // exclude cycles other experiments accumulated
 		start := time.Now()
-		t, err := e.Run()
+		t, err := e.Run(profile)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -156,7 +157,7 @@ func BenchmarkEmulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
+	inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true, Tier: profile.Tier})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func benchEmulatorTelemetry(b *testing.B, on bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
+	inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true, Tier: profile.Tier})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func BenchmarkInstantiate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true}); err != nil {
+		if _, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true, Tier: profile.Tier}); err != nil {
 			b.Fatal(err)
 		}
 	}

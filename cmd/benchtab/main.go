@@ -54,13 +54,14 @@ type historyRecord struct {
 	Results []benchResult `json:"results"`
 }
 
-// runOnce executes one experiment from a cold compile cache and returns
-// its table plus the measured wall seconds and simulated cycles.
-func runOnce(e exp.Experiment) (t *report.Table, wall, cycles float64, err error) {
+// runOnce executes one experiment under the profile from a cold compile
+// cache and returns its table plus the measured wall seconds and
+// simulated cycles.
+func runOnce(e exp.Experiment, p exp.Profile) (t *report.Table, wall, cycles float64, err error) {
 	rt.ResetModuleCache()
 	exp.TakeSimCycles()
 	start := time.Now()
-	t, err = e.Run()
+	t, err = e.Run(p)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -91,19 +92,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtab: -tier %s: %v\n", *tierFlag, err)
 		os.Exit(2)
 	}
-	cpu.SetDefaultTier(tier)
 	scheme, err := isolation.ParseScheme(*schemeFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: -scheme %s: %v\n", *schemeFlag, err)
 		os.Exit(2)
 	}
-	isolation.SetDefaultScheme(scheme)
 	harden, err := sfi.ParseHarden(*hardenFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: -harden %s: %v\n", *hardenFlag, err)
 		os.Exit(2)
 	}
-	sfi.SetDefaultHarden(harden)
+	profile := exp.Profile{Tier: tier, Scheme: scheme, Harden: harden}
 	exp.SetParallelism(*jobs)
 	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
@@ -160,7 +159,7 @@ func main() {
 		r.ID = e.ID
 		r.Tier = tier.String()
 
-		t, wall, cycles, err := runOnce(e)
+		t, wall, cycles, err := runOnce(e, profile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %s failed: %v\n", e.ID, err)
 			os.Exit(1)
@@ -183,9 +182,10 @@ func main() {
 		// interpreter loop — the pre-optimization configuration.
 		exp.SetParallelism(1)
 		rt.SetModuleCacheEnabled(false)
-		cpu.SetDefaultTier(cpu.TierSlow)
+		baseline := profile
+		baseline.Tier = cpu.TierSlow
 		for i, e := range selected {
-			t, wall, _, err := runOnce(e)
+			t, wall, _, err := runOnce(e, baseline)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "benchtab: %s (baseline) failed: %v\n", e.ID, err)
 				os.Exit(1)
@@ -200,7 +200,6 @@ func main() {
 		}
 		exp.SetParallelism(*jobs)
 		rt.SetModuleCacheEnabled(true)
-		cpu.SetDefaultTier(tier)
 	}
 
 	if *results != "" {

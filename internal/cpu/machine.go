@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -19,22 +18,24 @@ import (
 // differ only in how much work is resolved ahead of the dispatch loop.
 type Tier uint8
 
-// Execution tiers, from oracle to most optimized.
+// Execution tiers, from most optimized to the oracle. The zero Tier is
+// TierFused, so a Machine or config that names no tier runs the default
+// engine.
 const (
-	// TierSlow is the original portable interpreter (runSlow): operand
-	// kinds, segment bases, and encoded lengths are re-resolved on every
-	// step. It is the differential-testing oracle the other tiers are
-	// pinned against.
-	TierSlow Tier = iota
-	// TierFast is the optimized engine (runFused) with fusion off: it
-	// executes the singleton stream, the predecoded program with no
-	// superinstruction groups (decode.go).
-	TierFast
 	// TierFused is the optimized engine with fusion on, and the default:
 	// it profiles on the singleton stream until hot code is identified,
 	// then switches to a fused superinstruction stream (fuse.go) built
 	// once per Program and shared by every Machine running it.
-	TierFused
+	TierFused Tier = iota
+	// TierFast is the optimized engine (runFused) with fusion off: it
+	// executes the singleton stream, the predecoded program with no
+	// superinstruction groups (decode.go).
+	TierFast
+	// TierSlow is the original portable interpreter (runSlow): operand
+	// kinds, segment bases, and encoded lengths are re-resolved on every
+	// step. It is the differential-testing oracle the other tiers are
+	// pinned against.
+	TierSlow
 )
 
 // String returns the tier's flag spelling.
@@ -65,20 +66,9 @@ func ParseTier(s string) (Tier, error) {
 	}
 }
 
-// defaultTier is the tier NewMachine assigns. It lets benchmark drivers
-// and servers select an engine process-wide without threading a flag
-// through every instantiation site.
-var defaultTier atomic.Uint32
-
-func init() { defaultTier.Store(uint32(TierFused)) }
-
-// SetDefaultTier selects the tier newly constructed Machines use.
-// Machines that already exist are unaffected; per-machine Tier
-// assignments still override the default.
-func SetDefaultTier(t Tier) { defaultTier.Store(uint32(t)) }
-
-// DefaultTier returns the tier NewMachine currently assigns.
-func DefaultTier() Tier { return Tier(defaultTier.Load()) }
+// DefaultTier returns the tier a Machine runs when none is chosen: the
+// zero Tier, TierFused.
+func DefaultTier() Tier { return TierFused }
 
 // ArgRegs is the internal calling convention's integer argument
 // registers (SysV order). Float arguments use xmm0..xmm5 by position.
@@ -204,7 +194,6 @@ func NewMachine(as *mem.AS, prog *Program) *Machine {
 		Cost:         DefaultCostModel(),
 		Prog:         prog,
 		Hosts:        prog.Hosts,
-		Tier:         DefaultTier(),
 		MaxCallDepth: 10000,
 		bpred:        make([]uint8, 1<<14),
 	}
@@ -552,8 +541,8 @@ var (
 // the epoch deadline fires. After a resumable TrapEpoch, calling Run
 // again continues execution.
 //
-// The engine is selected by Tier: TierFused (the default, see
-// SetDefaultTier) runs the optimized engine with profile-guided
+// The engine is selected by Tier: TierFused (the zero value and the
+// default) runs the optimized engine with profile-guided
 // superinstruction fusion, TierFast runs it on the unfused singleton
 // stream, and TierSlow forces the original portable loop, the
 // differential-testing oracle. All tiers produce bit-identical

@@ -15,7 +15,7 @@ import (
 // classic SFI, register-only Segue (freed GPR + segment-carried base
 // addition), loads-only, and full Segue (operand-slot folding + free
 // truncation).
-func AblationSegueParts() (*report.Table, error) {
+func AblationSegueParts(p Profile) (*report.Table, error) {
 	k, err := workloads.Spec2006().Find("464_h264ref")
 	if err != nil {
 		return nil, err
@@ -24,20 +24,20 @@ func AblationSegueParts() (*report.Table, error) {
 		name string
 		cfg  sfi.Config
 	}{
-		{"guard (classic SFI)", sfi.DefaultConfig(sfi.ModeGuard)},
+		{"guard (classic SFI)", p.config(sfi.ModeGuard)},
 		{"segue register-only", func() sfi.Config {
-			c := sfi.DefaultConfig(sfi.ModeSegue)
+			c := p.config(sfi.ModeSegue)
 			c.FoldOperandSlot = false
 			return c
 		}()},
 		{"segue loads-only", func() sfi.Config {
-			c := sfi.DefaultConfig(sfi.ModeSegue)
+			c := p.config(sfi.ModeSegue)
 			c.SegueLoadsOnly = true
 			return c
 		}()},
-		{"segue full", sfi.DefaultConfig(sfi.ModeSegue)},
+		{"segue full", p.config(sfi.ModeSegue)},
 		{"segue hybrid (cost function)", func() sfi.Config {
-			c := sfi.DefaultConfig(sfi.ModeSegue)
+			c := p.config(sfi.ModeSegue)
 			c.Hybrid = true
 			return c
 		}()},
@@ -47,11 +47,11 @@ func AblationSegueParts() (*report.Table, error) {
 		Headers: []string{"configuration", "normalized", "insts", "code bytes"},
 		Notes:   []string{"each step recovers part of the gap to native (1.0)"},
 	}
-	cells := []cell{{k, sfi.DefaultConfig(sfi.ModeNative), k.Args}}
+	cells := []cell{{k, p.config(sfi.ModeNative), k.Args}}
 	for _, c := range cfgs {
 		cells = append(cells, cell{k, c.cfg, k.Args})
 	}
-	ms, errs := measureCells(cells)
+	ms, errs := measureCells(p, cells)
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
@@ -67,18 +67,18 @@ func AblationSegueParts() (*report.Table, error) {
 // trade-offs of guard geometries: classic 4+4 GiB guards, Wasmtime's
 // 2+2 GiB shared pre-guard scheme, and explicit bounds checks (no
 // guards at all).
-func AblationGuardGeometry() (*report.Table, error) {
+func AblationGuardGeometry(p Profile) (*report.Table, error) {
 	k, err := workloads.Spec2006().Find("462_libquantum")
 	if err != nil {
 		return nil, err
 	}
-	signedCfg := sfi.DefaultConfig(sfi.ModeGuard)
+	signedCfg := p.config(sfi.ModeGuard)
 	signedCfg.SignedOffset = true
-	ms, errs := measureCells([]cell{
-		{k, sfi.DefaultConfig(sfi.ModeNative), k.Args},
-		{k, sfi.DefaultConfig(sfi.ModeGuard), k.Args},
+	ms, errs := measureCells(p, []cell{
+		{k, p.config(sfi.ModeNative), k.Args},
+		{k, p.config(sfi.ModeGuard), k.Args},
 		{k, signedCfg, k.Args},
-		{k, sfi.DefaultConfig(sfi.ModeBoundsCheck), k.Args},
+		{k, p.config(sfi.ModeBoundsCheck), k.Args},
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func AblationGuardGeometry() (*report.Table, error) {
 
 // AblationStripeCount sweeps the available MPK keys to show the
 // density frontier ColorGuard opens.
-func AblationStripeCount() (*report.Table, error) {
+func AblationStripeCount(_ Profile) (*report.Table, error) {
 	budget := uint64(85) << 40
 	maxMem := uint64(408) << 20
 	guard := uint64(6)<<30 - maxMem
@@ -141,19 +141,19 @@ func AblationStripeCount() (*report.Table, error) {
 // without FSGSBASE, every segment-base write is an arch_prctl system
 // call, which hurts transition-heavy workloads like per-glyph font
 // rendering.
-func AblationFSGSBASE() (*report.Table, error) {
+func AblationFSGSBASE(p Profile) (*report.Table, error) {
 	k, err := workloads.Firefox().Find("font")
 	if err != nil {
 		return nil, err
 	}
 	measure := func(fsgsbase bool) (float64, error) {
 		mod, err := rt.CompileModuleCached(
-			rt.ModuleKey{Name: k.Name, Cfg: sfi.DefaultConfig(sfi.ModeSegue)},
+			rt.ModuleKey{Name: k.Name, Cfg: p.config(sfi.ModeSegue)},
 			func() *ir.Module { return k.Build(false) })
 		if err != nil {
 			return 0, err
 		}
-		inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: fsgsbase})
+		inst, err := rt.NewInstance(mod, p.options(fsgsbase))
 		if err != nil {
 			return 0, err
 		}

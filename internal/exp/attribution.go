@@ -23,7 +23,7 @@ import (
 // The load is deliberately non-saturating (the queue column must be a
 // stable property of the configuration, not of queue blow-up), and
 // cold starts are on so the placement phase is populated.
-func Attribution() (*report.Table, error) {
+func Attribution(_ Profile) (*report.Table, error) {
 	kinds := []struct {
 		kind  isolation.Kind
 		procs int

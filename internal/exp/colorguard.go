@@ -31,15 +31,17 @@ func nopModule() *ir.Module {
 
 // TransitionCost reproduces §6.4.1: the per-transition cost without and
 // with ColorGuard's PKRU switch.
-func TransitionCost() (*report.Table, error) {
+func TransitionCost(p Profile) (*report.Table, error) {
 	measure := func(pkey uint8) (float64, error) {
 		mod, err := rt.CompileModuleCached(
-			rt.ModuleKey{Name: "nop", Cfg: sfi.DefaultConfig(sfi.ModeSegue)},
+			rt.ModuleKey{Name: "nop", Cfg: p.config(sfi.ModeSegue)},
 			nopModule)
 		if err != nil {
 			return 0, err
 		}
-		inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true, Place: isolation.Colored(pkey)})
+		opts := p.options(true)
+		opts.Place = isolation.Colored(pkey)
+		inst, err := rt.NewInstance(mod, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -74,7 +76,7 @@ func TransitionCost() (*report.Table, error) {
 
 // ScalingSlots reproduces §6.4.2: slot counts for 408 MB slots in a
 // fixed address budget, without and with ColorGuard striping.
-func ScalingSlots() (*report.Table, error) {
+func ScalingSlots(_ Profile) (*report.Table, error) {
 	budget := uint64(85) << 40
 	maxMem := uint64(408) << 20
 	guard := uint64(6)<<30 - maxMem
@@ -106,10 +108,11 @@ func ScalingSlots() (*report.Table, error) {
 }
 
 // faasWorkloads measures the three handlers' per-request compute costs
-// on the emulator and returns the simulation workload descriptions.
+// on the emulator under the profile and returns the simulation workload
+// descriptions.
 // Per request: one batch of the handler's natural unit (a full URL set
 // for filtering/balancing, a page render for templating).
-func faasWorkloads() ([]faas.Workload, error) {
+func faasWorkloads(p Profile) ([]faas.Workload, error) {
 	defs := []struct {
 		kernel string
 		batch  uint64
@@ -128,7 +131,7 @@ func faasWorkloads() ([]faas.Workload, error) {
 		if err != nil {
 			return faas.Workload{}, err
 		}
-		m, err := MeasureKernel(k, sfi.DefaultConfig(sfi.ModeSegue), []uint64{d.batch})
+		m, err := MeasureKernel(p, k, p.config(sfi.ModeSegue), []uint64{d.batch})
 		if err != nil {
 			return faas.Workload{}, err
 		}
@@ -142,8 +145,8 @@ func faasWorkloads() ([]faas.Workload, error) {
 
 // Fig6Throughput runs the ColorGuard-vs-multiprocess scaling comparison
 // for the three FaaS workloads across 1..15 processes.
-func Fig6Throughput() (*report.Table, error) {
-	ws, err := faasWorkloads()
+func Fig6Throughput(p Profile) (*report.Table, error) {
+	ws, err := faasWorkloads(p)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +161,7 @@ func Fig6Throughput() (*report.Table, error) {
 		func(n int) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", n)}
 			for _, w := range ws {
-				gain, _, _ := faas.GainVsMultiprocess(w, n)
+				gain, _, _ := faas.GainVsMultiprocess(w, p.Scheme, n)
 				row = append(row, fmt.Sprintf("%.1f", gain))
 			}
 			return row, nil
@@ -172,17 +175,17 @@ func Fig6Throughput() (*report.Table, error) {
 
 // Fig7aContextSwitches reports the context-switch counts behind the
 // throughput difference.
-func Fig7aContextSwitches() (*report.Table, error) {
-	return fig7(true)
+func Fig7aContextSwitches(p Profile) (*report.Table, error) {
+	return fig7(p, true)
 }
 
 // Fig7bDTLBMisses reports the dTLB miss counts.
-func Fig7bDTLBMisses() (*report.Table, error) {
-	return fig7(false)
+func Fig7bDTLBMisses(p Profile) (*report.Table, error) {
+	return fig7(p, false)
 }
 
-func fig7(switches bool) (*report.Table, error) {
-	ws, err := faasWorkloads()
+func fig7(p Profile, switches bool) (*report.Table, error) {
+	ws, err := faasWorkloads(p)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +204,7 @@ func fig7(switches bool) (*report.Table, error) {
 		func(n int) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", n)}
 			for _, w := range ws {
-				_, cg, mp := faas.GainVsMultiprocess(w, n)
+				_, cg, mp := faas.GainVsMultiprocess(w, p.Scheme, n)
 				if switches {
 					row = append(row, fmt.Sprintf("%.1fK", float64(mp.CtxSwitches)/1e3), fmt.Sprintf("%.1fK", float64(cg.CtxSwitches)/1e3))
 				} else {
@@ -221,7 +224,7 @@ func fig7(switches bool) (*report.Table, error) {
 // the slot-layout computation finds the saturating-add bug and the
 // missing preconditions in the legacy code, and nothing in the fixed
 // version.
-func Table1Verification() (*report.Table, error) {
+func Table1Verification(_ Profile) (*report.Table, error) {
 	legacy := verify.Verify(pool.ComputeLayoutLegacy, 4000, 42)
 	fixed := verify.Verify(pool.ComputeLayout, 4000, 42)
 	t := &report.Table{
@@ -252,7 +255,7 @@ func Table1Verification() (*report.Table, error) {
 // rows are the MTE backend with and without the preserving madvise. The
 // costs come out of the same Allocate/Recycle accounting the FaaS
 // simulator consumes.
-func MTEObservations() (*report.Table, error) {
+func MTEObservations(_ Profile) (*report.Table, error) {
 	const size = 65536
 	const instances = 40
 	run := func(kind isolation.Kind, preserve bool) (initNs, teardownNs float64) {

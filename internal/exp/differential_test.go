@@ -5,7 +5,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/isolation"
 	"repro/internal/rt"
+	"repro/internal/sfi"
 )
 
 // The golden files under testdata/golden/ were captured from cmd/benchtab
@@ -15,11 +17,12 @@ import (
 // accumulation order — the acceptance bar for routing rt, faas, and exp
 // through internal/isolation.
 
-// checkGolden runs one experiment the way benchtab does (cold module
-// cache) and compares its rendered table against the golden bytes.
-func checkGolden(t *testing.T, id string) {
+// checkGolden runs one experiment under a profile the way benchtab does
+// (cold module cache) and compares its rendered table against the
+// golden bytes in testdata/golden/<dir>/<id>.txt.
+func checkGolden(t *testing.T, dir string, p Profile, id string) {
 	t.Helper()
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", dir, id+".txt"))
 	if err != nil {
 		t.Fatalf("missing golden file: %v", err)
 	}
@@ -28,7 +31,7 @@ func checkGolden(t *testing.T, id string) {
 		t.Fatalf("unknown experiment %q", id)
 	}
 	rt.ResetModuleCache()
-	tab, err := e.Run()
+	tab, err := e.Run(p)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -38,9 +41,27 @@ func checkGolden(t *testing.T, id string) {
 	}
 }
 
+// profileGoldens were captured from cmd/benchtab under a non-default
+// profile (`benchtab -scheme zerocost -o <file> <id>`, `benchtab
+// -harden swivel-sfi ...`), one directory per profile. Each table
+// differs from its default-profile run, so a site that ignores the
+// profile and falls back to the default shows up as a diff.
+var profileGoldens = []struct {
+	dir string
+	p   Profile
+	ids []string
+}{
+	{"zerocost", Profile{Scheme: isolation.SchemeZeroCost},
+		[]string{"transition", "faultsweep", "ablation-fsgsbase", "fig7b"}},
+	{"swivel-sfi", Profile{Harden: sfi.HardenSwivelSFI},
+		[]string{"fig1", "transition", "firefox-xml", "ablation-fsgsbase", "fig7b"}},
+}
+
 // TestGoldenTables covers the §6.4/§7 tables the isolation layer feeds
 // directly: transition and lifecycle costs, slot-density math, and the
-// FaaS scaling figures.
+// FaaS scaling figures — under the zero Profile and under each profile
+// in profileGoldens. As in the other golden variants, the -race leg
+// skips the profiles' fig7b.
 func TestGoldenTables(t *testing.T) {
 	for _, id := range []string{
 		"transition",
@@ -58,7 +79,17 @@ func TestGoldenTables(t *testing.T) {
 		"hardening",
 	} {
 		id := id
-		t.Run(id, func(t *testing.T) { checkGolden(t, id) })
+		t.Run(id, func(t *testing.T) { checkGolden(t, "", Profile{}, id) })
+	}
+	for _, pg := range profileGoldens {
+		pg := pg
+		for _, id := range pg.ids {
+			id := id
+			if raceEnabled && id == "fig7b" {
+				continue
+			}
+			t.Run(pg.dir+"/"+id, func(t *testing.T) { checkGolden(t, pg.dir, pg.p, id) })
+		}
 	}
 }
 
@@ -80,6 +111,6 @@ func TestGoldenTablesHeavy(t *testing.T) {
 		"table2",
 	} {
 		id := id
-		t.Run(id, func(t *testing.T) { checkGolden(t, id) })
+		t.Run(id, func(t *testing.T) { checkGolden(t, "", Profile{}, id) })
 	}
 }

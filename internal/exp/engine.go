@@ -139,10 +139,10 @@ type cell struct {
 	Args   []uint64
 }
 
-// measureCells measures every cell across the worker pool, results in
-// cell order.
-func measureCells(cells []cell) ([]Measurement, []error) {
+// measureCells measures every cell under the profile across the worker
+// pool, results in cell order.
+func measureCells(p Profile, cells []cell) ([]Measurement, []error) {
 	return parallelMap(cells, func(c cell) (Measurement, error) {
-		return MeasureKernel(c.Kernel, c.Cfg, c.Args)
+		return MeasureKernel(p, c.Kernel, c.Cfg, c.Args)
 	})
 }

@@ -44,11 +44,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	run := func(workers int) ([]Measurement, string) {
 		SetParallelism(workers)
 		defer SetParallelism(0)
-		ms, errs := measureCells(cells)
+		ms, errs := measureCells(Profile{}, cells)
 		if err := firstErr(errs); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		tab, _, err := normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative), configs, names)
+		tab, _, err := normalizedSuiteVs(Profile{}, suite, sfi.DefaultConfig(sfi.ModeNative), configs, names)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -80,10 +80,10 @@ func TestParallelErrorDeterminism(t *testing.T) {
 
 	var errSerial, errPar error
 	SetParallelism(1)
-	_, _, errSerial = normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative),
+	_, _, errSerial = normalizedSuiteVs(Profile{}, suite, sfi.DefaultConfig(sfi.ModeNative),
 		[]sfi.Config{sfi.DefaultConfig(sfi.ModeSegue)}, []string{"segue"})
 	SetParallelism(4)
-	_, _, errPar = normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative),
+	_, _, errPar = normalizedSuiteVs(Profile{}, suite, sfi.DefaultConfig(sfi.ModeNative),
 		[]sfi.Config{sfi.DefaultConfig(sfi.ModeSegue)}, []string{"segue"})
 	SetParallelism(0)
 
@@ -103,7 +103,7 @@ func TestEngineUsesCompileCache(t *testing.T) {
 	suite := smallSuite()
 	k := suite.Kernels[0]
 	for i := 0; i < 3; i++ {
-		if _, err := MeasureKernel(k, sfi.DefaultConfig(sfi.ModeSegue), k.Args); err != nil {
+		if _, err := MeasureKernel(Profile{}, k, sfi.DefaultConfig(sfi.ModeSegue), k.Args); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/ir"
+	"repro/internal/isolation"
 	"repro/internal/report"
 	"repro/internal/rt"
 	"repro/internal/sfi"
@@ -51,12 +52,40 @@ func addSimCycles(c float64) {
 // harness and cmd/benchtab report this next to wall-clock time.
 func TakeSimCycles() float64 { return math.Float64frombits(simCycleBits.Swap(0)) }
 
+// Profile is the configuration an experiment runs under: the execution
+// tier of every instance it builds, the transition scheme of every
+// instance and simulation whose scheme the experiment does not sweep
+// itself, and the Spectre hardening of every compile built from
+// sfi.DefaultConfig. The zero Profile (fused tier, default scheme, no
+// hardening) is the configuration the golden tables were captured
+// under; cmd/benchtab builds one from -tier, -scheme and -harden.
+type Profile struct {
+	Tier   cpu.Tier
+	Scheme isolation.Scheme
+	Harden sfi.Harden
+}
+
+// config returns sfi.DefaultConfig(mode) under the profile's hardening.
+func (p Profile) config(mode sfi.Mode) sfi.Config {
+	c := sfi.DefaultConfig(mode)
+	c.Harden = p.Harden
+	return c
+}
+
+// options returns the options of a standalone instance under the
+// profile's tier and transition scheme.
+func (p Profile) options(fsgsbase bool) rt.InstanceOptions {
+	return rt.InstanceOptions{FSGSBASE: fsgsbase, Tier: p.Tier, Scheme: p.Scheme}
+}
+
 // MeasureKernel compiles and runs a kernel under cfg with the given
-// arguments, on a fresh instance. Compiled modules come from the
-// rt compile cache (kernel names are unique across suites), so repeated
-// measurements of one (kernel, config) cell skip recompilation;
-// instances and machines are always fresh, keeping cells independent.
-func MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measurement, error) {
+// arguments, on a fresh instance running the profile's tier and
+// transition scheme (cfg already carries the hardening). Compiled
+// modules come from the rt compile cache (kernel names are unique
+// across suites), so repeated measurements of one (kernel, config)
+// cell skip recompilation; instances and machines are always fresh,
+// keeping cells independent.
+func MeasureKernel(p Profile, k workloads.Kernel, cfg sfi.Config, args []uint64) (Measurement, error) {
 	native := cfg.Mode == sfi.ModeNative
 	variant := native && k.PtrSensitive
 	mod, err := rt.CompileModuleCached(
@@ -65,7 +94,7 @@ func MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measureme
 	if err != nil {
 		return Measurement{}, fmt.Errorf("exp: %s/%v: %w", k.Name, cfg.Mode, err)
 	}
-	inst, err := rt.NewInstance(mod, rt.InstanceOptions{FSGSBASE: true})
+	inst, err := rt.NewInstance(mod, p.options(true))
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -95,8 +124,8 @@ func MeasureKernel(k workloads.Kernel, cfg sfi.Config, args []uint64) (Measureme
 // normalizing cycles to the native baseline. Checksums are
 // cross-checked between configurations (except for pointer-sensitive
 // kernels, whose native build is a different program).
-func normalizedSuite(suite workloads.Suite, configs []sfi.Config, names []string) (*report.Table, []map[string]float64, error) {
-	return normalizedSuiteVs(suite, sfi.DefaultConfig(sfi.ModeNative), configs, names)
+func normalizedSuite(p Profile, suite workloads.Suite, configs []sfi.Config, names []string) (*report.Table, []map[string]float64, error) {
+	return normalizedSuiteVs(p, suite, p.config(sfi.ModeNative), configs, names)
 }
 
 // normalizedSuiteVs is normalizedSuite with an explicit native baseline
@@ -107,7 +136,7 @@ func normalizedSuite(suite workloads.Suite, configs []sfi.Config, names []string
 // serial execution order (per kernel: baseline, then each config) and
 // results are collected in that order, so the table, the checksum
 // cross-checks, and any reported error match a serial run exactly.
-func normalizedSuiteVs(suite workloads.Suite, baseCfg sfi.Config, configs []sfi.Config, names []string) (*report.Table, []map[string]float64, error) {
+func normalizedSuiteVs(p Profile, suite workloads.Suite, baseCfg sfi.Config, configs []sfi.Config, names []string) (*report.Table, []map[string]float64, error) {
 	cells := make([]cell, 0, len(suite.Kernels)*(1+len(configs)))
 	for _, k := range suite.Kernels {
 		cells = append(cells, cell{k, baseCfg, k.Args})
@@ -115,7 +144,7 @@ func normalizedSuiteVs(suite workloads.Suite, baseCfg sfi.Config, configs []sfi.
 			cells = append(cells, cell{k, cfg, k.Args})
 		}
 	}
-	ms, errs := measureCells(cells)
+	ms, errs := measureCells(p, cells)
 
 	t := &report.Table{Headers: append([]string{"benchmark"}, names...)}
 	norms := make([]map[string]float64, len(configs))
@@ -182,7 +211,7 @@ func overheadEliminated(base, opt float64) float64 {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func() (*report.Table, error)
+	Run   func(Profile) (*report.Table, error)
 }
 
 // All returns the experiment registry in paper order.
@@ -226,25 +255,3 @@ func ByID(id string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-// instanceStats is a helper for experiments needing machine counters
-// beyond MeasureKernel's summary.
-func runOnInstance(k workloads.Kernel, cfg sfi.Config, opts rt.InstanceOptions, args []uint64) (*rt.Instance, error) {
-	mod, err := rt.CompileModuleCached(
-		rt.ModuleKey{Name: k.Name, Cfg: cfg},
-		func() *ir.Module { return k.Build(false) })
-	if err != nil {
-		return nil, err
-	}
-	inst, err := rt.NewInstance(mod, opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := inst.Invoke(k.Entry, args...); err != nil {
-		return nil, err
-	}
-	addSimCycles(inst.Mach.Stats.Cycles)
-	return inst, nil
-}
-
-var _ = cpu.DefaultCostModel // keep cpu linked for cost constants used across files

@@ -20,9 +20,9 @@ import (
 //
 // The rate-0 row runs with the machinery armed but nothing able to
 // fire; its throughput must match the clean simulator exactly, which
-// is the inertness property TestGoldenTablesWithFaultsOff pins across
-// the whole golden set.
-func FaultSweep() (*report.Table, error) {
+// is the inertness property faas.TestFaultsArmedButIdleInert pins.
+// Every cell is priced under the profile's transition scheme.
+func FaultSweep(p Profile) (*report.Table, error) {
 	// Synthetic per-request cost: no emulator measurement, so the sweep
 	// is cheap and the golden depends only on the simulator and the
 	// isolation cost models.
@@ -55,7 +55,7 @@ func FaultSweep() (*report.Table, error) {
 	rows, errs := parallelMap(rates, func(rate float64) ([]string, error) {
 		row := []string{fmt.Sprintf("%.3f", rate)}
 		for _, b := range backends {
-			cfg := faas.KindConfig(w, b.kind, b.procs)
+			cfg := faas.SchemeConfig(w, b.kind, p.Scheme, b.procs)
 			cfg.ColdStart = true
 			cfg.InstanceBytes = 64 << 10
 			cfg.ArrivalsPerEpoch = 5

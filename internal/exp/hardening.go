@@ -26,7 +26,7 @@ import (
 // only), 445_gobmk is call-heavy (return flushes), indirect-dispatch
 // makes an indirect call per loop iteration (Swivel-SFI's worst case),
 // and regex-filtering is the FaaS mix's representative.
-func SwivelHardening() (*report.Table, error) {
+func SwivelHardening(p Profile) (*report.Table, error) {
 	spec := workloads.Spec2006()
 	lbm, err := spec.Find("470_lbm")
 	if err != nil {
@@ -67,7 +67,7 @@ func SwivelHardening() (*report.Table, error) {
 			}
 		}
 	}
-	ms, errs := measureCells(cells)
+	ms, errs := measureCells(p, cells)
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func SwivelHardening() (*report.Table, error) {
 	for ki, kk := range kernels {
 		for mi, mode := range modes {
 			legacy := sfi.Config{Mode: mode, FoldOperandSlot: true, FoldDispLimit: 1 << 30}
-			lm, err := MeasureKernel(kk.k, legacy, kk.args)
+			lm, err := MeasureKernel(p, kk.k, legacy, kk.args)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +161,7 @@ func SwivelHardening() (*report.Table, error) {
 			ComputeNs: at(regexIdx, hi, mi).Nanos * scale,
 			Pages:     48,
 		}
-		cfg := faas.KindConfig(w, kind, procs)
+		cfg := faas.SchemeConfig(w, kind, p.Scheme, procs)
 		cfg.ArrivalsPerEpoch = 250
 		cfg.DurationNs = 0.5e9
 		return faas.Run(cfg).ThroughputRPS

@@ -25,7 +25,7 @@ import (
 // The scheme only prices the convention half of a crossing, so
 // ColorGuard keeps its WRPKRU gap over guardpage in every row, and
 // multiproc's context-switch and cache-refill costs never move.
-func TransitionSchemes() (*report.Table, error) {
+func TransitionSchemes(p Profile) (*report.Table, error) {
 	kinds := []struct {
 		kind  isolation.Kind
 		procs int
@@ -57,7 +57,7 @@ func TransitionSchemes() (*report.Table, error) {
 
 	rows, errs := parallelMap(cells, func(c cell) ([]string, error) {
 		model := isolation.TransitionForScheme(c.scheme, c.kind)
-		rtNs, err := measureSchemeTransition(c.scheme, c.kind)
+		rtNs, err := measureSchemeTransition(p, c.scheme, c.kind)
 		if err != nil {
 			return nil, err
 		}
@@ -104,10 +104,11 @@ func TransitionSchemes() (*report.Table, error) {
 
 // measureSchemeTransition runs the nop microbenchmark on an instance
 // placed in a backend reserved under the scheme and returns the
-// measured ns per transition (two transitions per invoke).
-func measureSchemeTransition(scheme isolation.Scheme, kind isolation.Kind) (float64, error) {
+// measured ns per transition (two transitions per invoke). The profile
+// supplies the tier and hardening; the scheme is the backend's.
+func measureSchemeTransition(p Profile, scheme isolation.Scheme, kind isolation.Kind) (float64, error) {
 	mod, err := rt.CompileModuleCached(
-		rt.ModuleKey{Name: "nop", Cfg: sfi.DefaultConfig(sfi.ModeSegue)},
+		rt.ModuleKey{Name: "nop", Cfg: p.config(sfi.ModeSegue)},
 		nopModule)
 	if err != nil {
 		return 0, err
@@ -136,6 +137,7 @@ func measureSchemeTransition(scheme isolation.Scheme, kind isolation.Kind) (floa
 	inst, err := rt.NewInstance(mod, rt.InstanceOptions{
 		FSGSBASE: true,
 		Place:    isolation.Place(b, slot),
+		Tier:     p.Tier,
 	})
 	if err != nil {
 		return 0, err

@@ -42,40 +42,59 @@ func TestFaultsZeroConfigInert(t *testing.T) {
 }
 
 // TestFaultsArmedButIdleInert: an armed configuration whose rates are
-// zero and whose policies cannot trigger (no timeout, unbounded queue,
-// disabled breaker) runs every fault branch and still produces a
-// Result identical to the disarmed run. This is the per-Run version of
-// exp.TestGoldenTablesWithFaultsOff.
+// zero runs every fault branch and still produces a Result identical
+// to the disarmed run. The cases are the Configs the fig7b and
+// faultsweep experiments build: fig7b's ColorGuard and multiprocess
+// sides armed with retries only, and faultsweep's cold-start backends
+// armed with its full rate-0 policy stack (deadline, bounded queue,
+// breaker), none of which may trigger on a healthy run.
 func TestFaultsArmedButIdleInert(t *testing.T) {
-	off := Run(DefaultConfig(testWorkload, 8, false))
-	armed := DefaultConfig(testWorkload, 8, false)
-	armed.Faults = fault.Config{
-		Seed:        999,
-		MaxAttempts: 5,
-		Retry:       fault.Backoff{BaseNs: 1e6, Factor: 2},
+	retries := fault.Config{
+		Seed:        4242,
+		MaxAttempts: 3,
+		Retry:       fault.Backoff{BaseNs: 1e6, Factor: 2, MaxNs: 1e8},
 	}
-	on := Run(armed)
-	if !reflect.DeepEqual(off, on) {
-		t.Fatalf("armed-but-idle fault config changed the run:\noff: %+v\non:  %+v", off, on)
+	sweep := func(kind isolation.Kind, procs int) Config {
+		cfg := SchemeConfig(Workload{Name: "synthetic", ComputeNs: 30_000, Pages: 48}, kind, "", procs)
+		cfg.ColdStart = true
+		cfg.InstanceBytes = 64 << 10
+		cfg.ArrivalsPerEpoch = 5
+		return cfg
 	}
-}
-
-// TestSetDefaultFaultsApplies: the process-wide default arms runs whose
-// own Faults field is zero, and an explicit per-run config wins.
-func TestSetDefaultFaultsApplies(t *testing.T) {
-	def := fault.Config{Seed: 5, Rates: fault.Rates{Poisoned: 0.05}, MaxAttempts: 3}
-	SetDefaultFaults(&def)
-	defer SetDefaultFaults(nil)
-
-	viaDefault := Run(DefaultConfig(testWorkload, 1, true))
-	if viaDefault.FaultsInjected == 0 {
-		t.Error("process default did not arm the run")
+	sweepPolicy := func(kind isolation.Kind) fault.Config {
+		return fault.Config{
+			Seed:        1789,
+			Rates:       fault.RatesFor(string(kind), 0),
+			MaxAttempts: 4,
+			Retry:       fault.Backoff{BaseNs: 200_000, Factor: 2, MaxNs: 8e6},
+			TimeoutNs:   100e6,
+			QueueLimit:  512,
+			Breaker:     fault.BreakerConfig{FailureThreshold: 64, OpenNs: 5e6},
+		}
 	}
-
-	explicit := DefaultConfig(testWorkload, 1, true)
-	explicit.Faults = fault.Config{Seed: 5} // armed, but nothing can fire
-	if r := Run(explicit); r.FaultsInjected != 0 {
-		t.Errorf("explicit config overridden by default: %d faults", r.FaultsInjected)
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		faults fault.Config
+	}{
+		{"fig7b/colorguard", SchemeConfig(testWorkload, isolation.ColorGuard, "", 1), retries},
+		{"fig7b/multiproc1", SchemeConfig(testWorkload, isolation.MultiProc, "", 1), retries},
+		{"fig7b/multiproc15", SchemeConfig(testWorkload, isolation.MultiProc, "", 15), retries},
+		{"faultsweep/guardpage", sweep(isolation.GuardPage, 1), sweepPolicy(isolation.GuardPage)},
+		{"faultsweep/colorguard", sweep(isolation.ColorGuard, 1), sweepPolicy(isolation.ColorGuard)},
+		{"faultsweep/multiproc8", sweep(isolation.MultiProc, 8), sweepPolicy(isolation.MultiProc)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			off := Run(c.cfg)
+			armed := c.cfg
+			armed.Faults = c.faults
+			if !armed.Faults.Armed() {
+				t.Fatal("test config is not armed")
+			}
+			if on := Run(armed); !reflect.DeepEqual(off, on) {
+				t.Fatalf("armed-but-idle fault config changed the run:\noff: %+v\non:  %+v", off, on)
+			}
+		})
 	}
 }
 

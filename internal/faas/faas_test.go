@@ -14,13 +14,13 @@ var testWorkload = Workload{Name: "test", ComputeNs: 28_000, Pages: 48}
 func TestFigure6Shape(t *testing.T) {
 	prev := -5.0
 	for _, n := range []int{2, 4, 8, 12, 15} {
-		gain, _, _ := GainVsMultiprocess(testWorkload, n)
+		gain, _, _ := GainVsMultiprocess(testWorkload, "", n)
 		if gain < prev {
 			t.Errorf("gain at n=%d (%.2f%%) below gain at smaller n (%.2f%%): not monotone", n, gain, prev)
 		}
 		prev = gain
 	}
-	gain15, _, _ := GainVsMultiprocess(testWorkload, 15)
+	gain15, _, _ := GainVsMultiprocess(testWorkload, "", 15)
 	if gain15 < 20 || gain15 > 40 {
 		t.Errorf("gain at 15 processes = %.2f%%, want ≈29%%", gain15)
 	}
@@ -29,8 +29,8 @@ func TestFigure6Shape(t *testing.T) {
 // TestFigure7aShape: context switches grow with process count while
 // ColorGuard's stay at the constant background rate.
 func TestFigure7aShape(t *testing.T) {
-	_, cg4, mp4 := GainVsMultiprocess(testWorkload, 4)
-	_, cg15, mp15 := GainVsMultiprocess(testWorkload, 15)
+	_, cg4, mp4 := GainVsMultiprocess(testWorkload, "", 4)
+	_, cg15, mp15 := GainVsMultiprocess(testWorkload, "", 15)
 	if cg4.CtxSwitches != cg15.CtxSwitches {
 		t.Errorf("ColorGuard switch count should be constant: %d vs %d", cg4.CtxSwitches, cg15.CtxSwitches)
 	}
@@ -48,8 +48,8 @@ func TestFigure7aShape(t *testing.T) {
 // TestFigure7bShape: dTLB misses grow with process count faster than
 // under ColorGuard.
 func TestFigure7bShape(t *testing.T) {
-	_, cg, mp4 := GainVsMultiprocess(testWorkload, 4)
-	_, _, mp15 := GainVsMultiprocess(testWorkload, 15)
+	_, cg, mp4 := GainVsMultiprocess(testWorkload, "", 4)
+	_, _, mp15 := GainVsMultiprocess(testWorkload, "", 15)
 	if mp4.DTLBMisses <= cg.DTLBMisses {
 		t.Errorf("4-process dTLB misses (%d) should exceed ColorGuard (%d)", mp4.DTLBMisses, cg.DTLBMisses)
 	}

@@ -18,9 +18,9 @@
 //     perturbs which requests arrive or when their IO completes — a
 //     faulty run sees exactly the offered load of a clean run.
 //   - Inertness: a zero rate draws nothing from the stream and a zero
-//     Config arms nothing; internal/faas's golden tables are
-//     byte-identical with the fault machinery compiled in, wired up,
-//     and disabled (see exp.TestGoldenTablesWithFaultsOff).
+//     Config arms nothing; internal/faas's results are identical with
+//     the fault machinery armed but idle (see
+//     faas.TestFaultsArmedButIdleInert).
 //
 // internal/faas consumes this package through faas.Config.Faults; the
 // exp "faultsweep" experiment and cmd/faassim's -faultrate/-timeout/

@@ -77,6 +77,7 @@ func (inst *Instance) Reset() error {
 	}
 	inst.initMemory()
 	inst.Mach = cpu.NewMachine(inst.AS, inst.Mod.Prog)
+	inst.Mach.Tier = inst.tier
 	inst.bindHosts()
 	inst.Transitions = 0
 	inst.transInCycles = 0

@@ -3,6 +3,7 @@ package rt
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/ir"
 	"repro/internal/isolation"
 	"repro/internal/mem"
@@ -140,5 +141,26 @@ func TestResetWithoutReset(t *testing.T) {
 	}
 	if out1[0] == out2[0] {
 		t.Fatalf("un-reset reuse produced identical checksums (%d); dirty-state hazard gone?", out1[0])
+	}
+}
+
+// TestResetKeepsTier: Reset rebuilds the machine, and the rebuilt
+// machine runs the tier the instance was created with.
+func TestResetKeepsTier(t *testing.T) {
+	mod := nopTestModule(t)
+	for _, tier := range []cpu.Tier{cpu.TierFast, cpu.TierSlow} {
+		inst, err := NewInstance(mod, InstanceOptions{FSGSBASE: true, Tier: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.Invoke("nop"); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if inst.Mach.Tier != tier {
+			t.Errorf("after Reset: tier %s, want %s", inst.Mach.Tier, tier)
+		}
 	}
 }

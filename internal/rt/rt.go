@@ -131,8 +131,12 @@ type InstanceOptions struct {
 
 	// Scheme selects the transition calling-convention scheme the
 	// instance's crossings are charged under. Empty defers to the
-	// placement backend's scheme, then to the process default.
+	// placement backend's scheme, then to isolation.SchemeDefault.
 	Scheme isolation.Scheme
+
+	// Tier selects the execution engine of the instance's machine; the
+	// zero value is cpu.TierFused. Reset keeps it.
+	Tier cpu.Tier
 }
 
 // Transition cost model (§6.4.1): beyond the instructions the sandbox
@@ -169,6 +173,10 @@ type Instance struct {
 	// transitionIn/Out touch no map or switch.
 	scheme      isolation.Scheme
 	transCycles float64
+
+	// tier is the execution engine every machine the instance builds
+	// runs, at instantiation and after each Reset.
+	tier cpu.Tier
 
 	// ctrKind/ctrScheme are the instance's pre-resolved transition
 	// counters (nil-free: resolved for every kind and scheme).
@@ -214,13 +222,14 @@ func NewInstance(mod *Module, opts InstanceOptions) (*Instance, error) {
 	inst := &Instance{
 		Mod:      mod,
 		FSGSBASE: opts.FSGSBASE,
+		tier:     opts.Tier,
 		hosts:    opts.Hosts,
 	}
 	if opts.Place != nil {
 		inst.place = *opts.Place
 	}
 	// Resolve the transition scheme: an explicit option wins, then the
-	// placement backend's scheme, then the process default. The
+	// placement backend's scheme, then SchemeDefault. The
 	// per-crossing charge and the telemetry counters are resolved here,
 	// once, so each transition pays plain adds.
 	sch := opts.Scheme
@@ -300,6 +309,7 @@ func NewInstance(mod *Module, opts InstanceOptions) (*Instance, error) {
 	inst.initMemory()
 
 	inst.Mach = cpu.NewMachine(inst.AS, mod.Prog)
+	inst.Mach.Tier = inst.tier
 	if telemetry.Enabled() {
 		if t := int(inst.Mach.Tier); t < len(tierCounters) {
 			tierCounters[t].Inc()

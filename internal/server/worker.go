@@ -14,10 +14,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// compileKernel fetches a kernel's compiled module from the process-wide
-// race-safe compile cache, so N workers share one compilation.
-func compileKernel(k workloads.Kernel) (*rt.Module, error) {
+// compileKernel fetches a kernel's compiled module, under the given
+// Spectre hardening, from the process-wide race-safe compile cache, so
+// N workers share one compilation.
+func compileKernel(k workloads.Kernel, harden sfi.Harden) (*rt.Module, error) {
 	cfg := sfi.DefaultConfig(sfi.ModeSegue)
+	cfg.Harden = harden
 	return rt.CompileModuleCached(
 		rt.ModuleKey{Name: k.Name, Cfg: cfg},
 		func() *ir.Module { return k.Build(false) })
@@ -248,6 +250,7 @@ func (w *worker) acquire(key warmKey, mod *rt.Module) (*rt.Instance, int, string
 	inst, err := rt.NewInstance(mod, rt.InstanceOptions{
 		FSGSBASE: true,
 		Place:    isolation.Place(b, slot),
+		Tier:     w.s.cfg.Tier,
 	})
 	if err != nil {
 		_ = b.Recycle(slot)

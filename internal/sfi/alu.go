@@ -391,7 +391,7 @@ func (fc *fnc) allocGPRExcl(excl ...x86.Reg) x86.Reg {
 		}
 		return false
 	}
-	for _, r := range fc.scratch {
+	for _, r := range scratchGPRs {
 		if !bad(r) && !fc.regInUse(r) {
 			return r
 		}

@@ -124,12 +124,6 @@ type Config struct {
 	// guard requirement; needs the runtime to reserve a pre-guard.
 	SignedOffset bool
 
-	// ReserveR15 keeps R15 (and the rewriter's R11 scratch) out of the
-	// register allocator even in modes that would free them — what
-	// LFI's binary rewriter requires of its input (the -ffixed-reg
-	// compilation contract, §4.3).
-	ReserveR15 bool
-
 	// Hybrid, with ModeSegue, implements the paper's proposed future
 	// work (§6.1 outliers): a per-access cost function that uses
 	// segment-relative addressing only where it removes an instruction
@@ -147,11 +141,10 @@ type Config struct {
 
 // DefaultConfig returns a Config for the given mode with folding
 // enabled, a 1 GiB disp-fold limit (covered by the runtime's default
-// guard regions), and the process-wide default hardening scheme.
+// guard regions), and no Spectre hardening (HardenNone).
 func DefaultConfig(mode Mode) Config {
 	return Config{
 		Mode:            mode,
-		Harden:          DefaultHarden(),
 		FoldOperandSlot: true,
 		FoldDispLimit:   1 << 30,
 	}
@@ -257,7 +250,7 @@ func Compile(m *ir.Module, cfg Config) (*cpu.Program, *Meta, error) {
 	prog.HostNames[meta.BuiltinIndex(BuiltinFill)] = "builtin.memory.fill"
 
 	for fi, f := range m.Funcs {
-		fc := newFnCompiler(m, f, cfg, meta)
+		fc := &fnc{m: m, f: f, cfg: cfg, meta: meta}
 		cf, err := fc.compile()
 		if err != nil {
 			return nil, nil, fmt.Errorf("sfi: function %d (%q): %w", fi, f.Name, err)

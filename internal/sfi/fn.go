@@ -69,11 +69,10 @@ type ctl struct {
 }
 
 type fnc struct {
-	m       *ir.Module
-	f       *ir.Func
-	cfg     Config
-	meta    *Meta
-	scratch []x86.Reg
+	m    *ir.Module
+	f    *ir.Func
+	cfg  Config
+	meta *Meta
 
 	insts  []x86.Inst
 	labels []int
@@ -100,9 +99,6 @@ type fnc struct {
 // stores still need it (SegueLoadsOnly). The native baseline has no
 // reserved heap register at all.
 func (fc *fnc) r15Free() bool {
-	if fc.cfg.ReserveR15 {
-		return false
-	}
 	if fc.cfg.Mode == ModeNative {
 		return true
 	}
@@ -110,21 +106,6 @@ func (fc *fnc) r15Free() bool {
 		return false
 	}
 	return fc.cfg.Mode.usesSegment()
-}
-
-func newFnCompiler(m *ir.Module, f *ir.Func, cfg Config, meta *Meta) *fnc {
-	fc := &fnc{m: m, f: f, cfg: cfg, meta: meta, scratch: scratchGPRs}
-	if cfg.ReserveR15 {
-		// The LFI rewriting contract also reserves R11, the rewriter's
-		// scratch register.
-		fc.scratch = make([]x86.Reg, 0, len(scratchGPRs)-1)
-		for _, r := range scratchGPRs {
-			if r != x86.R11 {
-				fc.scratch = append(fc.scratch, r)
-			}
-		}
-	}
-	return fc
 }
 
 func (fc *fnc) emit(in x86.Inst) { fc.insts = append(fc.insts, in) }
@@ -207,7 +188,7 @@ func (fc *fnc) regInUse(r x86.Reg) bool {
 // allocGPR returns a free scratch register, spilling the oldest
 // register-resident vstack entry if necessary.
 func (fc *fnc) allocGPR() x86.Reg {
-	for _, r := range fc.scratch {
+	for _, r := range scratchGPRs {
 		if !fc.regInUse(r) {
 			return r
 		}
