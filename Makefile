@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci docscheck bench-smoke bench results benchdiff benchgate benchgate-smoke fuse-bench serve-smoke serve-bench trace-smoke span-bench cluster-smoke cluster-bench
+.PHONY: build test race vet ci docscheck perfbench-check bench-smoke bench results benchdiff benchgate benchgate-smoke fuse-bench serve-smoke serve-bench trace-smoke span-bench cluster-smoke cluster-bench
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ ci:
 	$(MAKE) span-bench
 	$(MAKE) benchgate-smoke
 	$(MAKE) benchgate
+	$(MAKE) perfbench-check
+
+# Benchmark-harness gate: perfbench/ is its own module (replace repro =>
+# ../), so the root `go vet ./...` and `go test ./...` never build it.
+# Vetting and testing it here makes a change to the rt, isolation or
+# server API that breaks the harness fail CI, not the benchmark run.
+perfbench-check:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./...
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) test ./...
 
 # Documentation gate: package comments present, ARCHITECTURE.md linked
 # and complete, documented flags/ids exist, documented commands run in

@@ -286,6 +286,14 @@ func (h *Hierarchy) Flush() {
 	h.L1D.Flush()
 }
 
+// Reset returns h to the state NewHierarchy builds: every entry
+// invalid and every counter zero.
+func (h *Hierarchy) Reset() {
+	h.Flush()
+	h.DTLB.ResetStats()
+	h.L1D.ResetStats()
+}
+
 // AccessL1 charges one access against the cache hierarchy only (no
 // dTLB), as host-call helpers touching guest memory do. It goes
 // through the Hierarchy rather than L1D directly so the same-line

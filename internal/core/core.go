@@ -203,7 +203,7 @@ type PoolOptions struct {
 // MTE tagging, guard pages, or process separation).
 type Pool struct {
 	eng *Engine
-	b   isolation.Backend
+	b   *isolation.Backend
 }
 
 // NewPool reserves a pool.
@@ -235,9 +235,6 @@ func (e *Engine) NewPool(o PoolOptions) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.CheckIsolation(); err != nil {
-		return nil, fmt.Errorf("core: pool striping unsafe: %w", err)
-	}
 	return &Pool{eng: e, b: b}, nil
 }
 
@@ -252,7 +249,7 @@ func (p *Pool) Stripes() int { return p.b.Layout().NumStripes }
 
 // Backend exposes the pool's isolation backend (for cost accounting
 // and tests).
-func (p *Pool) Backend() isolation.Backend { return p.b }
+func (p *Pool) Backend() *isolation.Backend { return p.b }
 
 // Instantiate creates a sandbox inside the pool: its linear memory is
 // a slot colored by the pool's backend, and every call applies the

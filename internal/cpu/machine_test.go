@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -503,5 +504,32 @@ func TestLEAAddr32Truncation(t *testing.T) {
 	want := uint64(sum)
 	if m.Result() != want {
 		t.Errorf("lea = %#x, want %#x", m.Result(), want)
+	}
+}
+
+// TestMachineResetMatchesNew: after a run has filled the caches, branch
+// predictor, registers and counters, Reset leaves exactly the state
+// NewMachine builds — the contract rt.Instance.Reset's bit-exactness
+// rests on.
+func TestMachineResetMatchesNew(t *testing.T) {
+	f := &Func{Name: "seg", Insts: []x86.Inst{
+		{Op: x86.MOV, W: x86.W64, Dst: x86.M(x86.Mem{Seg: x86.SegGS, Base: x86.RDI, Addr32: true}), Src: x86.R(x86.RSI)},
+		{Op: x86.MOV, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.M(x86.Mem{Seg: x86.SegGS, Base: x86.RDI, Addr32: true})},
+		{Op: x86.CMP, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.Imm(41)},
+		{Op: x86.JCC, Cond: x86.CondE, Dst: x86.Label(5)},
+		{Op: x86.ADD, W: x86.W64, Dst: x86.R(x86.RAX), Src: x86.Imm(1)},
+		{Op: x86.RET},
+	}}
+	m, heap := testEnv(t, f)
+	m.GSBase = heap
+	if err := m.Call(0, 0x100, 41); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats.Insts == 0 || m.Hier.L1D.Misses() == 0 {
+		t.Fatal("run left no state to reset")
+	}
+	m.Reset()
+	if want := NewMachine(m.AS, m.Prog); !reflect.DeepEqual(m, want) {
+		t.Fatal("Reset state differs from NewMachine")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // per-slot lifecycle costs for a 64 KiB linear memory (§7), and the
 // slot density the mechanism reaches in the §6.4.2 address budget
 // (408 MB memories in 85 TiB). It is the paper's comparison collapsed
-// onto the Backend interface: every number comes from the same cost
+// onto the isolation Kind axis: every number comes from the same cost
 // models the runtime and the FaaS simulator charge.
 func BackendMatrix(_ Profile) (*report.Table, error) {
 	const memKiB = uint64(64 << 10)
@@ -42,7 +42,7 @@ func BackendMatrix(_ Profile) (*report.Table, error) {
 		{"multiproc", isolation.MultiProc, false},
 	}
 	for _, v := range variants {
-		trans := isolation.TransitionFor(v.kind)
+		trans := isolation.TransitionForScheme(isolation.SchemeDefault, v.kind)
 		life := isolation.LifecycleFor(v.kind, v.preserve)
 		cfg := isolation.Config{MaxMemoryBytes: maxMem, GuardBytes: guard, TotalBytes: budget, Keys: 15}
 		l, err := isolation.PlanLayout(v.kind, cfg)

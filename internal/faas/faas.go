@@ -64,8 +64,8 @@ type Config struct {
 	// charges: enter+leave per request, switch+refill per process
 	// switch. The zero value derives the model from the ColorGuard
 	// flag and Scheme via the isolation layer (flagTrans);
-	// KindConfig/SchemeConfig/BackendConfig fill it from an isolation
-	// backend, so §6.4.3 and §7 share one cost path.
+	// SchemeConfig fills it from an isolation backend kind, so §6.4.3
+	// and §7 share one cost path.
 	Trans isolation.TransitionCost
 
 	// Scheme is the transition calling-convention scheme behind Trans.
@@ -158,33 +158,17 @@ func flagTrans(scheme isolation.Scheme, colorGuard bool) isolation.TransitionCos
 	return t
 }
 
-// KindConfig returns the paper's simulation parameters with the cost
-// model of an isolation backend kind under the default scheme: the
-// §6.4.3 comparison is KindConfig(w, isolation.ColorGuard, 1) against
-// KindConfig(w, isolation.MultiProc, n).
-func KindConfig(w Workload, kind isolation.Kind, processes int) Config {
-	return SchemeConfig(w, kind, "", processes)
-}
-
-// SchemeConfig is KindConfig generalized over the transition-scheme
-// axis: the same backend kind priced under an explicit calling
-// convention (empty = SchemeDefault).
+// SchemeConfig returns the paper's simulation parameters with the cost
+// models of an isolation backend kind priced under a transition scheme
+// (empty = SchemeDefault): the §6.4.3 comparison is
+// SchemeConfig(w, isolation.ColorGuard, "", 1) against
+// SchemeConfig(w, isolation.MultiProc, "", n). Per-backend options such
+// as the MTE tag-preserving madvise are set on the returned Lifecycle.
 func SchemeConfig(w Workload, kind isolation.Kind, scheme isolation.Scheme, processes int) Config {
 	cfg := DefaultConfig(w, processes, kind == isolation.ColorGuard)
 	cfg.Scheme = isolation.ResolveScheme(scheme)
 	cfg.Trans = isolation.TransitionForScheme(cfg.Scheme, kind)
 	cfg.Lifecycle = isolation.LifecycleFor(kind, false)
-	return cfg
-}
-
-// BackendConfig returns the simulation parameters with the cost models
-// of a live backend (including per-backend options such as the MTE
-// tag-preserving madvise and the backend's transition scheme).
-func BackendConfig(w Workload, b isolation.Backend, processes int) Config {
-	cfg := DefaultConfig(w, processes, b.Kind() == isolation.ColorGuard)
-	cfg.Scheme = b.Scheme()
-	cfg.Trans = b.TransitionCost()
-	cfg.Lifecycle = b.LifecycleCost()
 	return cfg
 }
 

@@ -10,7 +10,7 @@ import (
 
 var diffWorkload = Workload{Name: "w", ComputeNs: 30_000, Pages: 48}
 
-// TestBackendConfigMatchesLegacy: the backend-derived cost models must
+// TestBackendConfigMatchesLegacy: the kind-derived cost models must
 // reproduce the legacy flag-derived simulation exactly — same Result
 // struct, field for field — for every (kind, process-count) combination
 // the legacy API could express. This is the §6.4.3 half of the
@@ -30,7 +30,7 @@ func TestBackendConfigMatchesLegacy(t *testing.T) {
 	}
 	for _, c := range cases {
 		legacy := Run(DefaultConfig(diffWorkload, c.processes, c.colorGuard))
-		backend := Run(KindConfig(diffWorkload, c.kind, c.processes))
+		backend := Run(SchemeConfig(diffWorkload, c.kind, "", c.processes))
 		if !reflect.DeepEqual(legacy, backend) {
 			t.Fatalf("%s/%d: backend result %+v != legacy result %+v", c.kind, c.processes, backend, legacy)
 		}
@@ -48,9 +48,9 @@ func TestZeroValueConfigDerivesLegacyCosts(t *testing.T) {
 	}
 }
 
-// TestBackendConfigFromLiveBackend: BackendConfig reads the cost models
-// off a reserved backend, including per-backend options like the MTE
-// tag-preserving madvise.
+// TestBackendConfigFromLiveBackend: SchemeConfig, with the MTE
+// tag-preserving madvise set on its Lifecycle, carries exactly the cost
+// models a reserved backend with that option reports.
 func TestBackendConfigFromLiveBackend(t *testing.T) {
 	b, err := isolation.NewReserved(isolation.MTE, mem.NewAS(47), isolation.Config{
 		Slots: 4, MaxMemoryBytes: 64 << 10, GuardBytes: 1 << 20,
@@ -59,9 +59,13 @@ func TestBackendConfigFromLiveBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := BackendConfig(diffWorkload, b, 1)
-	if cfg.Trans != isolation.TransitionFor(isolation.MTE) {
-		t.Fatalf("trans = %+v", cfg.Trans)
+	cfg := SchemeConfig(diffWorkload, isolation.MTE, "", 1)
+	cfg.Lifecycle = isolation.LifecycleFor(isolation.MTE, true)
+	if cfg.Trans != b.TransitionCost() || cfg.Scheme != b.Scheme() {
+		t.Fatalf("trans = %+v under %s, backend %+v under %s", cfg.Trans, cfg.Scheme, b.TransitionCost(), b.Scheme())
+	}
+	if cfg.Lifecycle != b.LifecycleCost() {
+		t.Fatalf("lifecycle = %+v, backend %+v", cfg.Lifecycle, b.LifecycleCost())
 	}
 	if cfg.Lifecycle.RecolorOnReuse || cfg.Lifecycle.DecolorNsPerByte != 0 {
 		t.Fatalf("lifecycle = %+v, want tag-preserving (no decolor terms)", cfg.Lifecycle)
@@ -78,13 +82,13 @@ func TestBackendConfigFromLiveBackend(t *testing.T) {
 // warm instances beat both.
 func TestColdStartOrdersBackends(t *testing.T) {
 	mkCfg := func(preserve bool) Config {
-		cfg := KindConfig(diffWorkload, isolation.MTE, 1)
+		cfg := SchemeConfig(diffWorkload, isolation.MTE, "", 1)
 		cfg.Lifecycle = isolation.LifecycleFor(isolation.MTE, preserve)
 		cfg.ColdStart = true
 		cfg.InstanceBytes = 64 << 10
 		return cfg
 	}
-	warm := Run(KindConfig(diffWorkload, isolation.MTE, 1))
+	warm := Run(SchemeConfig(diffWorkload, isolation.MTE, "", 1))
 	coldFix := Run(mkCfg(true))
 	cold := Run(mkCfg(false))
 	if cold.LifecycleNs <= 0 || coldFix.LifecycleNs <= 0 {

@@ -273,7 +273,7 @@ func TestDegradationCurve(t *testing.T) {
 // time, not free retries.
 func TestColdStartFaultsChargeLifecycle(t *testing.T) {
 	mk := func(rate float64) Config {
-		cfg := KindConfig(testWorkload, isolation.ColorGuard, 1)
+		cfg := SchemeConfig(testWorkload, isolation.ColorGuard, "", 1)
 		cfg.ColdStart = true
 		cfg.InstanceBytes = 64 << 10
 		cfg.Faults = fault.Config{

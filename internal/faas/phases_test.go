@@ -41,7 +41,7 @@ func TestPhaseSumConservation(t *testing.T) {
 // every retried request's extra virtual time still lands in a phase.
 func TestPhaseSumConservationUnderFaults(t *testing.T) {
 	w := Workload{Name: "synthetic", ComputeNs: 20_000, Pages: 16}
-	cfg := KindConfig(w, isolation.ColorGuard, 1)
+	cfg := SchemeConfig(w, isolation.ColorGuard, "", 1)
 	cfg.DurationNs = 0.3e9
 	cfg.RecordLatency = true
 	cfg.RecordPhases = true
@@ -97,7 +97,7 @@ func checkConservation(t *testing.T, res Result) {
 // identical scheduling outcomes.
 func TestPhaseRecordingInert(t *testing.T) {
 	w := Workload{Name: "synthetic", ComputeNs: 8_000, Pages: 32}
-	base := KindConfig(w, isolation.MultiProc, 6)
+	base := SchemeConfig(w, isolation.MultiProc, "", 6)
 	base.DurationNs = 0.3e9
 	base.RecordLatency = true
 

@@ -35,17 +35,18 @@ func TestFlagTransLegacyPinned(t *testing.T) {
 	}
 }
 
-// TestSchemeConfigDefault: the empty scheme leaves KindConfig exactly
-// what it always was — the invariant behind every pre-scheme golden.
+// TestSchemeConfigDefault: the empty scheme is exactly SchemeDefault,
+// priced with the historical per-kind costs — the invariant behind
+// every pre-scheme golden.
 func TestSchemeConfigDefault(t *testing.T) {
 	for _, kind := range isolation.Kinds() {
-		a := KindConfig(testWorkload, kind, 4)
-		b := SchemeConfig(testWorkload, kind, "", 4)
+		a := SchemeConfig(testWorkload, kind, "", 4)
+		b := SchemeConfig(testWorkload, kind, isolation.SchemeDefault, 4)
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: KindConfig != SchemeConfig(\"\"):\n%+v\n%+v", kind, a, b)
+			t.Errorf("%s: SchemeConfig(\"\") != SchemeConfig(default):\n%+v\n%+v", kind, a, b)
 		}
-		if a.Trans != isolation.TransitionFor(kind) {
-			t.Errorf("%s: default Trans = %+v, want legacy TransitionFor", kind, a.Trans)
+		if a.Trans != isolation.TransitionForScheme(isolation.SchemeDefault, kind) {
+			t.Errorf("%s: default Trans = %+v, want the default-scheme costs", kind, a.Trans)
 		}
 	}
 }

@@ -1,26 +1,23 @@
 // Package isolation is the unified isolation-backend layer: one slot
-// lifecycle (Reserve → Allocate → Color → Recycle → Release) shared by
-// every mechanism the paper compares — guard-page SFI, ColorGuard's MPK
-// page striping (§3.2, §5.1), ColorGuard-MTE granule tagging (§7), and
-// classic N-process scaling (§6.4.3) — plus the transition- and
+// lifecycle (NewReserved → Allocate → Grow → Recycle → Release) shared
+// by every mechanism the paper compares — guard-page SFI, ColorGuard's
+// MPK page striping (§3.2, §5.1), ColorGuard-MTE granule tagging (§7),
+// and classic N-process scaling (§6.4.3) — plus the transition- and
 // lifecycle-cost models those mechanisms differ on.
 //
-// The point of the abstraction is that the paper's central comparison
-// is exactly an axis of this interface: every backend places instances
-// into slots the same way, but each pays different costs to cross the
-// isolation boundary (TransitionCost) and to initialize or recycle a
-// slot (LifecycleCost). The runtime (internal/rt), the FaaS simulator
-// (internal/faas), and the experiments (internal/exp) all consume the
-// same Backend, so the §6.4 tables and the §7 MTE numbers come from one
-// code path. Adding a new mechanism (CHERI-style capabilities, a
-// Segue-off ablation) is one new file implementing Backend.
+// The paper's central comparison is exactly the Kind axis of one
+// Backend: every mechanism places instances into slots the same way,
+// but each pays different costs to cross the isolation boundary
+// (TransitionCost) and to initialize or recycle a slot (LifecycleCost).
+// The runtime (internal/rt), the FaaS simulator (internal/faas), and
+// the experiments (internal/exp) all consume the same Backend, so the
+// §6.4 tables and the §7 MTE numbers come from one code path. A new
+// mechanism is a new Kind plus its branches in Backend and the cost
+// models.
 package isolation
 
 import (
-	"fmt"
-
 	"repro/internal/mem"
-	"repro/internal/mte"
 	"repro/internal/pool"
 )
 
@@ -184,14 +181,6 @@ const (
 	CacheRefillNs = 3200.0
 )
 
-// TransitionFor returns the transition cost model of a backend kind
-// under the default transition scheme (the §6.4.1 convention every
-// pre-scheme golden was produced with). TransitionForScheme generalizes
-// it over the calling-convention axis.
-func TransitionFor(kind Kind) TransitionCost {
-	return transitionDefault(kind)
-}
-
 // transitionDefault is the historical cost switch, kept verbatim so the
 // default scheme is bit-exact with every pre-scheme number: the faas
 // simulator integrates these floats over millions of virtual-time
@@ -210,115 +199,47 @@ func transitionDefault(kind Kind) TransitionCost {
 	}
 }
 
+// Measured §7 lifecycle constants (ns) for 64 KiB linear memories on
+// real MTE hardware (a Pixel 8 Pro), expressed per 64 KiB or per byte.
+// The paper makes two observations about them:
+//
+//	Observation 1 — user-level tagging moves at most two 16-byte
+//	granules per instruction, so striping a linear memory is slow:
+//	initializing a 64 KiB memory goes from 79 µs to 2,182 µs.
+//
+//	Observation 2 — madvise(MADV_DONTNEED) discards tags, so recycling
+//	a slot (free under MPK, whose colors live in PTEs) costs extra on
+//	teardown (29 µs → 377 µs) and forces a full re-tag on the next
+//	allocation.
+//
+// The proposed fix, a tag-preserving madvise flag, is modeled by
+// Config.PreserveTagsOnMadvise so its benefit can be quantified.
+const (
+	InitBaseNs     = 79_000.0 // mmap + zeroing, no MTE
+	TeardownBaseNs = 29_000.0 // madvise(MADV_DONTNEED), no MTE
+	// Tagging measured: 2,182 µs total - 79 µs base over 64 KiB.
+	TagNsPerByte = (2_182_000.0 - InitBaseNs) / 65536
+	// Teardown with tag discarding: 377 µs total - 29 µs base.
+	TagClearNsPerByte = (377_000.0 - TeardownBaseNs) / 65536
+)
+
 // LifecycleFor returns the lifecycle cost model of a backend kind. The
 // base terms are the §7 measurements for mmap+zero and madvise; only
 // MTE adds coloring terms, and only without the tag-preserving madvise
 // does recycling discard the colors.
 func LifecycleFor(kind Kind, preserveTags bool) LifecycleCost {
-	lc := LifecycleCost{InitBaseNs: mte.InitBaseNs, TeardownBaseNs: mte.TeardownBaseNs}
+	lc := LifecycleCost{InitBaseNs: InitBaseNs, TeardownBaseNs: TeardownBaseNs}
 	if kind == MTE {
-		lc.ColorNsPerByte = mte.TagNsPerByte
+		lc.ColorNsPerByte = TagNsPerByte
 		if !preserveTags {
-			lc.DecolorNsPerByte = mte.TagClearNsPerByte
+			lc.DecolorNsPerByte = TagClearNsPerByte
 			lc.RecolorOnReuse = true
 		}
 	}
 	return lc
 }
 
-// Backend is the unified slot lifecycle every isolation mechanism
-// implements. A backend is created empty (New), bound to an address
-// space and geometry once (Reserve), then hands out slots (Allocate),
-// re-applies coloring where the mechanism needs it (Color), returns
-// slots to the free list (Recycle), and finally tears the slab down
-// (Release). TransitionCost and LifecycleCost expose the mechanism's
-// cost models to the runtime and the simulators.
-type Backend interface {
-	// Kind identifies the mechanism.
-	Kind() Kind
-
-	// Reserve maps the slab into as under cfg and prepares the free
-	// list. Must be called exactly once before any allocation.
-	Reserve(as *mem.AS, cfg Config) error
-
-	// Allocate takes a free slot, opens initialBytes of it read-write
-	// with the backend's coloring applied, and charges the lifecycle
-	// init cost (including recoloring when a prior recycle discarded
-	// the colors).
-	Allocate(initialBytes uint64) (Slot, error)
-
-	// Color re-applies the backend's isolation marking to bytes of an
-	// allocated slot (a no-op where colors persist in PTEs).
-	Color(s Slot, bytes uint64) error
-
-	// Grow opens more of an allocated slot, up to its maximum.
-	Grow(s Slot, upTo uint64) error
-
-	// Recycle returns a slot to the free list, discarding contents with
-	// madvise and charging the lifecycle teardown cost.
-	Recycle(s Slot) error
-
-	// Release unmaps the whole slab.
-	Release() error
-
-	// AS returns the address space the slab lives in.
-	AS() *mem.AS
-
-	// Layout returns the computed slab geometry.
-	Layout() pool.Layout
-
-	// Capacity and Available return total and free slot counts.
-	Capacity() int
-	Available() int
-
-	// CheckIsolation validates the backend's safety property on the
-	// concrete slot layout (striping distances, guard coverage).
-	CheckIsolation() error
-
-	// TransitionCost returns the per-boundary-crossing cost model
-	// (priced under the backend's transition scheme).
-	TransitionCost() TransitionCost
-
-	// Scheme returns the transition scheme the backend was reserved
-	// under (SchemeDefault before Reserve).
-	Scheme() Scheme
-
-	// LifecycleCost returns the per-slot init/recycle cost model.
-	LifecycleCost() LifecycleCost
-
-	// LifecycleNs returns the accumulated init and teardown time
-	// charged by Allocate and Recycle so far.
-	LifecycleNs() (initNs, teardownNs float64)
-}
-
-// New returns an empty backend of the given kind.
-func New(kind Kind) (Backend, error) {
-	switch kind {
-	case GuardPage:
-		return newGuardPage(), nil
-	case ColorGuard:
-		return newColorGuard(), nil
-	case MTE:
-		return newMTE(), nil
-	case MultiProc:
-		return newMultiProc(), nil
-	}
-	return nil, fmt.Errorf("isolation: unknown backend kind %q", kind)
-}
-
-// NewReserved creates a backend and reserves its slab in one step.
-func NewReserved(kind Kind, as *mem.AS, cfg Config) (Backend, error) {
-	b, err := New(kind)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Reserve(as, cfg); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// PlanLayout computes the slot layout Reserve would use for a kind,
+// PlanLayout computes the slot layout NewReserved would use for a kind,
 // without reserving address space — the pure §6.4.2 density math.
 func PlanLayout(kind Kind, cfg Config) (pool.Layout, error) {
 	return pool.ComputeLayout(poolConfig(kind, cfg))
@@ -357,11 +278,11 @@ type Placement struct {
 
 	// Backend, when non-nil, owns the slot: closing the instance
 	// recycles through it.
-	Backend Backend
+	Backend *Backend
 }
 
 // Place returns the placement for a slot allocated from b.
-func Place(b Backend, s Slot) *Placement {
+func Place(b *Backend, s Slot) *Placement {
 	return &Placement{AS: b.AS(), Slot: s, Backend: b}
 }
 

@@ -6,13 +6,23 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/mte"
 	"repro/internal/pool"
 )
 
 const testMemBytes = uint64(64 << 10)
 
-func reserved(t *testing.T, kind Kind, cfg Config) Backend {
+// tagAt returns the MTE tag of the granule holding addr: the owning
+// slot's tag while the slot holds it over that byte, 0 otherwise.
+func tagAt(b *Backend, addr uint64) uint8 {
+	off := addr - b.base - b.layout.PreSlabGuardBytes
+	i := int(off / b.layout.SlotBytes)
+	if i >= len(b.tags) || !b.tags[i].tagged || off%b.layout.SlotBytes >= b.tags[i].bytes {
+		return 0
+	}
+	return TagForSlot(i)
+}
+
+func reserved(t *testing.T, kind Kind, cfg Config) *Backend {
 	t.Helper()
 	b, err := NewReserved(kind, mem.NewAS(47), cfg)
 	if err != nil {
@@ -61,30 +71,8 @@ func TestBackendsImplementLifecycle(t *testing.T) {
 	}
 }
 
-func TestUnreservedBackendErrors(t *testing.T) {
-	for _, kind := range Kinds() {
-		b, err := New(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Allocate(testMemBytes); !errors.Is(err, ErrNotReserved) {
-			t.Fatalf("%s: allocate on empty backend: %v, want ErrNotReserved", kind, err)
-		}
-		if err := b.Recycle(Slot{}); !errors.Is(err, ErrNotReserved) {
-			t.Fatalf("%s: recycle on empty backend: %v, want ErrNotReserved", kind, err)
-		}
-	}
-}
-
-func TestDoubleReserveRejected(t *testing.T) {
-	b := reserved(t, GuardPage, smallConfig())
-	if err := b.Reserve(mem.NewAS(47), smallConfig()); !errors.Is(err, ErrReserved) {
-		t.Fatalf("second reserve: %v, want ErrReserved", err)
-	}
-}
-
-// TestBackendDoubleRecycle: recycling a slot twice is the pool
-// double-free, surfaced through the backend for every kind.
+// TestBackendDoubleRecycle: recycling a slot twice is a double free
+// for every kind.
 func TestBackendDoubleRecycle(t *testing.T) {
 	for _, kind := range Kinds() {
 		b := reserved(t, kind, smallConfig())
@@ -95,7 +83,7 @@ func TestBackendDoubleRecycle(t *testing.T) {
 		if err := b.Recycle(s); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Recycle(s); !errors.Is(err, pool.ErrDoubleFree) {
+		if err := b.Recycle(s); !errors.Is(err, ErrDoubleFree) {
 			t.Fatalf("%s: second recycle: %v, want ErrDoubleFree", kind, err)
 		}
 		// The double free must not double the teardown accounting.
@@ -152,7 +140,6 @@ func TestColorGuardColorsPersist(t *testing.T) {
 // pays the full re-tagging cost.
 func TestMTERetagsAfterMadvise(t *testing.T) {
 	b := reserved(t, MTE, smallConfig())
-	mb := b.(*mteBackend)
 	s, err := b.Allocate(testMemBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +147,7 @@ func TestMTERetagsAfterMadvise(t *testing.T) {
 	if s.Tag == 0 || s.Tag != TagForSlot(s.Index) {
 		t.Fatalf("slot tag = %d, want %d", s.Tag, TagForSlot(s.Index))
 	}
-	if got := mb.Tags().Get(s.Addr); got != s.Tag {
+	if got := tagAt(b, s.Addr); got != s.Tag {
 		t.Fatalf("granule tag = %d, want %d", got, s.Tag)
 	}
 	life := LifecycleFor(MTE, false)
@@ -172,7 +159,7 @@ func TestMTERetagsAfterMadvise(t *testing.T) {
 		t.Fatal(err)
 	}
 	// madvise dropped the tags with the pages.
-	if got := mb.Tags().Get(s.Addr); got != 0 {
+	if got := tagAt(b, s.Addr); got != 0 {
 		t.Fatalf("after recycle, granule tag = %d, want 0 (madvise discards tags)", got)
 	}
 	if _, teardown := b.LifecycleNs(); teardown != life.TeardownNs(testMemBytes) {
@@ -186,7 +173,7 @@ func TestMTERetagsAfterMadvise(t *testing.T) {
 	if s2.Index != s.Index {
 		t.Fatalf("reused slot = %d, want %d (LIFO)", s2.Index, s.Index)
 	}
-	if got := mb.Tags().Get(s2.Addr); got != s2.Tag {
+	if got := tagAt(b, s2.Addr); got != s2.Tag {
 		t.Fatalf("after reuse, granule tag = %d, want %d (re-tagged)", got, s2.Tag)
 	}
 	if initNs, _ := b.LifecycleNs(); initNs != 2*firstInit {
@@ -200,7 +187,6 @@ func TestMTEPreservingMadviseSkipsRetag(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PreserveTagsOnMadvise = true
 	b := reserved(t, MTE, cfg)
-	mb := b.(*mteBackend)
 	life := b.LifecycleCost()
 	if life.RecolorOnReuse || life.DecolorNsPerByte != 0 {
 		t.Fatalf("preserving lifecycle = %+v, want no decolor/recolor terms", life)
@@ -212,7 +198,7 @@ func TestMTEPreservingMadviseSkipsRetag(t *testing.T) {
 	if err := b.Recycle(s); err != nil {
 		t.Fatal(err)
 	}
-	if got := mb.Tags().Get(s.Addr); got != s.Tag {
+	if got := tagAt(b, s.Addr); got != s.Tag {
 		t.Fatalf("after preserving recycle, granule tag = %d, want %d", got, s.Tag)
 	}
 	s2, err := b.Allocate(testMemBytes)
@@ -227,12 +213,12 @@ func TestMTEPreservingMadviseSkipsRetag(t *testing.T) {
 	if teardownNs != life.TeardownNs(testMemBytes) {
 		t.Fatalf("teardown = %v, want base-only %v", teardownNs, life.TeardownNs(testMemBytes))
 	}
-	if got := mb.Tags().Get(s2.Addr); got != s2.Tag {
+	if got := tagAt(b, s2.Addr); got != s2.Tag {
 		t.Fatalf("reused slot tag = %d, want %d", got, s2.Tag)
 	}
 }
 
-// TestGuardPageRecycledSlotStaysGuarded: after a recycle, the guard
+// TestGuardPageSlotGeometry: after a recycle, the guard
 // space around a guard-page slot is still PROT_NONE, and the next slot
 // over is unreachable.
 func TestGuardPageSlotGeometry(t *testing.T) {
@@ -257,7 +243,7 @@ func TestGuardPageSlotGeometry(t *testing.T) {
 	if !ok || v.Prot != mem.ProtNone {
 		t.Fatalf("after recycle, guard VMA = %+v ok=%v, want PROT_NONE", v, ok)
 	}
-	if err := b.CheckIsolation(); err != nil {
+	if err := checkIsolation(b.Layout()); err != nil {
 		t.Fatalf("isolation check: %v", err)
 	}
 }
@@ -268,7 +254,7 @@ func TestMultiProcDealsSlots(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Processes = 3
 	b := reserved(t, MultiProc, cfg)
-	if got := b.(*multiProc).Processes(); got != 3 {
+	if got := b.processes; got != 3 {
 		t.Fatalf("processes = %d, want 3", got)
 	}
 	for i := 0; i < 6; i++ {
@@ -289,13 +275,13 @@ func TestMultiProcDealsSlots(t *testing.T) {
 // TestTransitionCostModel pins the §6.4.1/§6.4.3 numbers the golden
 // tables depend on.
 func TestTransitionCostModel(t *testing.T) {
-	if got := TransitionFor(GuardPage).RoundTripNs(); got != 2*30.34 {
+	if got := TransitionForScheme(SchemeDefault, GuardPage).RoundTripNs(); got != 2*30.34 {
 		t.Fatalf("guardpage round trip = %v, want %v", got, 2*30.34)
 	}
-	if got := TransitionFor(ColorGuard).RoundTripNs(); got != 2*51.52 {
+	if got := TransitionForScheme(SchemeDefault, ColorGuard).RoundTripNs(); got != 2*51.52 {
 		t.Fatalf("colorguard round trip = %v, want %v", got, 2*51.52)
 	}
-	mp := TransitionFor(MultiProc)
+	mp := TransitionForScheme(SchemeDefault, MultiProc)
 	if mp.RoundTripNs() != 2*30.34 || mp.SwitchNs != 3500 || mp.RefillNs != 3200 {
 		t.Fatalf("multiproc costs = %+v", mp)
 	}
@@ -322,8 +308,8 @@ func TestLifecycleCostModel(t *testing.T) {
 			t.Fatalf("%s preserve=%v: %v/%v µs, want %v/%v", c.kind, c.preserve, init, down, c.initUs, c.downUs)
 		}
 	}
-	if got := LifecycleFor(MTE, false).ColorNsPerByte; got != mte.TagNsPerByte {
-		t.Fatalf("ColorNsPerByte = %v, want %v", got, mte.TagNsPerByte)
+	if got := LifecycleFor(MTE, false).ColorNsPerByte; got != TagNsPerByte {
+		t.Fatalf("ColorNsPerByte = %v, want %v", got, TagNsPerByte)
 	}
 }
 
@@ -354,7 +340,193 @@ func TestPlanLayoutMatchesPool(t *testing.T) {
 }
 
 func TestUnknownKind(t *testing.T) {
-	if _, err := New(Kind("cheri")); err == nil {
+	if _, err := NewReserved(Kind("cheri"), mem.NewAS(47), smallConfig()); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+}
+
+// TestMTEStripingWithTags: neighboring MTE slots carry different tags,
+// cycling through the 15 non-zero tags, so a pointer colored for one
+// slot cannot touch the next; the tag covers exactly the opened bytes.
+func TestMTEStripingWithTags(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Slots = 16
+	b := reserved(t, MTE, cfg)
+	var prev Slot
+	for i := 0; i < 16; i++ {
+		s, err := b.Allocate(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Tag == 0 || (i > 0 && s.Tag == prev.Tag) {
+			t.Fatalf("slot %d tag = %d, neighbor %d", s.Index, s.Tag, prev.Tag)
+		}
+		if tagAt(b, s.Addr+4095) != s.Tag || tagAt(b, s.Addr+4096) != 0 {
+			t.Fatalf("slot %d: tagged extent wrong", s.Index)
+		}
+		prev = s
+	}
+	if TagForSlot(0) != TagForSlot(15) {
+		t.Fatalf("tags do not cycle over 15: %d vs %d", TagForSlot(0), TagForSlot(15))
+	}
+	if err := b.Grow(prev, 8192); err != nil {
+		t.Fatal(err)
+	}
+	if tagAt(b, prev.Addr+8191) != prev.Tag {
+		t.Fatal("grow did not extend the slot's tag")
+	}
+}
+
+// TestCheckIsolationRejectsUnsafeStripe: two same-colored slots closer
+// than the guard requirement, or a short post-slab guard, fail the
+// concrete layout check NewReserved runs.
+func TestCheckIsolationRejectsUnsafeStripe(t *testing.T) {
+	good, err := PlanLayout(ColorGuard, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkIsolation(good); err != nil {
+		t.Fatalf("planned layout rejected: %v", err)
+	}
+	close := good
+	close.NumStripes = 2
+	if err := checkIsolation(close); err == nil {
+		t.Fatal("same-color slots inside the guard accepted")
+	}
+	short := good
+	short.PostSlabGuardBytes = short.GuardBytes - mem.PageSize
+	if err := checkIsolation(short); err == nil {
+		t.Fatal("short post-slab guard accepted")
+	}
+}
+
+const mib = uint64(1) << 20
+
+func TestPoolAllocateFree(t *testing.T) {
+	b := reserved(t, ColorGuard, Config{Slots: 8, MaxMemoryBytes: 16 * mib, GuardBytes: 64 * mib, Keys: 15})
+	as := b.AS()
+	s1, err := b.Allocate(1 * mib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := b.Allocate(1 * mib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1.Index == s2.Index {
+		t.Fatal("duplicate slot")
+	}
+	if s1.Pkey == 0 || s2.Pkey == 0 {
+		t.Fatal("striped pool should color slots")
+	}
+	// The slot is usable and colored.
+	as.Store(s1.Addr+100, 8, 42)
+	v, ok := as.VMAAt(s1.Addr)
+	if !ok || v.Pkey != s1.Pkey {
+		t.Fatalf("slot VMA = %+v, want pkey %d", v, s1.Pkey)
+	}
+	// Recycling zeroes contents but keeps the color.
+	if err := b.Recycle(s1); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := b.Allocate(1 * mib)
+	for s3.Index != s1.Index && err == nil {
+		// Drain until we get the recycled slot back.
+		s3, err = b.Allocate(1 * mib)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := as.Load(s3.Addr+100, 8); got != 0 {
+		t.Fatalf("recycled slot not zeroed: %d", got)
+	}
+	if v, _ := as.VMAAt(s3.Addr); v.Pkey != s1.Pkey {
+		t.Fatalf("recycled slot lost its color: %d vs %d", v.Pkey, s1.Pkey)
+	}
+}
+
+// TestPoolDoubleFree: recycling a slot twice must fail instead of
+// pushing the index onto the free list again — a double-pushed slot
+// would be handed to two instances at once, breaking the striping
+// safety argument.
+func TestPoolDoubleFree(t *testing.T) {
+	b, err := NewReserved(GuardPage, mem.NewAS(40), Config{Slots: 2, MaxMemoryBytes: mib, GuardBytes: mib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := b.Allocate(mib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Recycle(s); err != nil {
+		t.Fatalf("first recycle: %v", err)
+	}
+	if err := b.Recycle(s); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("second recycle: %v, want ErrDoubleFree", err)
+	}
+	if b.Available() != 2 {
+		t.Fatalf("available after double free = %d, want 2 (free list must not grow)", b.Available())
+	}
+	// A never-allocated slot and an out-of-range index are rejected too.
+	if err := b.Recycle(Slot{Index: 1}); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("recycle of unallocated slot: %v, want ErrDoubleFree", err)
+	}
+	if err := b.Recycle(Slot{Index: 99}); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("recycle of bogus index: %v, want ErrDoubleFree", err)
+	}
+	// Both slots remain individually allocatable.
+	if _, err := b.Allocate(mib); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Allocate(mib); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Allocate(mib); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("third allocate: %v, want ErrExhausted", err)
+	}
+}
+
+func TestPoolExhaustion(t *testing.T) {
+	b, err := NewReserved(GuardPage, mem.NewAS(40), Config{Slots: 3, MaxMemoryBytes: mib, GuardBytes: mib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := b.Allocate(64 * 1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Allocate(64 * 1024); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("err = %v, want exhaustion", err)
+	}
+}
+
+// TestVMACountPressure: striping multiplies VMAs, which is why the
+// paper notes vm.max_map_count must be raised (§5.1).
+func TestVMACountPressure(t *testing.T) {
+	as := mem.NewAS(47)
+	as.MaxMapCount = 40
+	b, err := NewReserved(ColorGuard, as, Config{Slots: 64, MaxMemoryBytes: mib, GuardBytes: 4 * mib, Keys: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastErr error
+	allocated := 0
+	for i := 0; i < 64; i++ {
+		if _, err := b.Allocate(mib); err != nil {
+			lastErr = err
+			break
+		}
+		allocated++
+	}
+	if lastErr == nil {
+		t.Fatal("expected to hit the map-count limit")
+	}
+	if !errors.Is(lastErr, mem.ErrMapCount) {
+		t.Fatalf("err = %v, want map-count", lastErr)
+	}
+	if b.Available() != 64-allocated {
+		t.Fatalf("available = %d after a failed allocate, want %d", b.Available(), 64-allocated)
+	}
+	t.Logf("allocated %d slots before hitting vm.max_map_count=40", allocated)
 }

@@ -136,7 +136,7 @@ func (s Scheme) BaseCycles() float64 {
 // TransitionForScheme returns the transition cost model of a backend
 // kind under a transition scheme: the scheme's convention cost composed
 // with the mechanism tax the kind cannot shed. The default scheme
-// reproduces TransitionFor's historical constants exactly — every
+// reproduces the historical per-kind constants exactly — every
 // pre-scheme golden is pinned to that path.
 func TransitionForScheme(s Scheme, kind Kind) TransitionCost {
 	s = ResolveScheme(s)

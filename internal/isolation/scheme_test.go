@@ -25,16 +25,16 @@ func TestParseScheme(t *testing.T) {
 }
 
 // TestDefaultSchemeBitExact: the default scheme must reproduce the
-// historical TransitionFor costs exactly — every pre-scheme golden
+// historical per-kind switch exactly — every pre-scheme golden
 // table integrates these floats over millions of virtual-time events,
 // so even a one-ulp difference breaks byte-identity.
 func TestDefaultSchemeBitExact(t *testing.T) {
 	for _, kind := range Kinds() {
-		if got, want := TransitionForScheme(SchemeDefault, kind), TransitionFor(kind); got != want {
-			t.Fatalf("%s: TransitionForScheme(default) = %+v, TransitionFor = %+v", kind, got, want)
+		if got, want := TransitionForScheme(SchemeDefault, kind), transitionDefault(kind); got != want {
+			t.Fatalf("%s: TransitionForScheme(default) = %+v, historical = %+v", kind, got, want)
 		}
-		if got, want := TransitionForScheme("", kind), TransitionFor(kind); got != want {
-			t.Fatalf("%s: TransitionForScheme(\"\") = %+v, TransitionFor = %+v", kind, got, want)
+		if got, want := TransitionForScheme("", kind), transitionDefault(kind); got != want {
+			t.Fatalf("%s: TransitionForScheme(\"\") = %+v, historical = %+v", kind, got, want)
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestBackendScheme(t *testing.T) {
 	if got := b.Scheme(); got != SchemeDefault {
 		t.Errorf("empty Config.Scheme: Scheme() = %v, want default", got)
 	}
-	if got, want := b.TransitionCost(), TransitionFor(GuardPage); got != want {
+	if got, want := b.TransitionCost(), TransitionForScheme(SchemeDefault, GuardPage); got != want {
 		t.Errorf("empty Config.Scheme: TransitionCost() = %+v, want %+v", got, want)
 	}
 }

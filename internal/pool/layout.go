@@ -1,8 +1,9 @@
-// Package pool implements the Wasmtime-style pooling allocator of §5.1:
-// a single large mmap (the slab) split into fixed-size slots delimited
-// by guard regions, recycled with madvise(MADV_DONTNEED), and — with
-// ColorGuard — striped with MPK colors so slots can pack into the space
-// classic layouts waste on guards.
+// Package pool is the slot-layout math of the Wasmtime-style pooling
+// allocator of §5.1: a single large mmap (the slab) split into
+// fixed-size slots delimited by guard regions and — with ColorGuard —
+// striped with MPK colors so slots can pack into the space classic
+// layouts waste on guards. The live allocator built on this geometry is
+// isolation.Backend.
 //
 // The slot-layout computation is the security-critical piece the paper
 // formally verified (§5.2, Table 1). ComputeLayout is the fixed version

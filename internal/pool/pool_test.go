@@ -1,11 +1,6 @@
 package pool
 
-import (
-	"errors"
-	"testing"
-
-	"repro/internal/mem"
-)
+import "testing"
 
 const (
 	mib = uint64(1) << 20
@@ -143,116 +138,6 @@ func TestLegacyMissingPreconditions(t *testing.T) {
 	}
 }
 
-func TestPoolAllocateFree(t *testing.T) {
-	as := mem.NewAS(47)
-	p, err := New(as, Config{
-		NumSlots:       8,
-		MaxMemoryBytes: 16 * mib,
-		GuardBytes:     64 * mib,
-		Keys:           15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CheckIsolation(); err != nil {
-		t.Fatal(err)
-	}
-	s1, err := p.Allocate(1 * mib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := p.Allocate(1 * mib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Index == s2.Index {
-		t.Fatal("duplicate slot")
-	}
-	if s1.Pkey == 0 || s2.Pkey == 0 {
-		t.Fatal("striped pool should color slots")
-	}
-	// The slot is usable and colored.
-	as.Store(s1.Addr+100, 8, 42)
-	v, ok := as.VMAAt(s1.Addr)
-	if !ok || v.Pkey != s1.Pkey {
-		t.Fatalf("slot VMA = %+v, want pkey %d", v, s1.Pkey)
-	}
-	// Recycling zeroes contents but keeps the color.
-	p.Free(s1)
-	s3, err := p.Allocate(1 * mib)
-	for s3.Index != s1.Index && err == nil {
-		// Drain until we get the recycled slot back.
-		s3, err = p.Allocate(1 * mib)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := as.Load(s3.Addr+100, 8); got != 0 {
-		t.Fatalf("recycled slot not zeroed: %d", got)
-	}
-	if v, _ := as.VMAAt(s3.Addr); v.Pkey != s1.Pkey {
-		t.Fatalf("recycled slot lost its color: %d vs %d", v.Pkey, s1.Pkey)
-	}
-}
-
-// TestPoolDoubleFree: freeing a slot twice must fail instead of
-// pushing the index onto the free list again — a double-pushed slot
-// would be handed to two instances at once, breaking the striping
-// safety argument.
-func TestPoolDoubleFree(t *testing.T) {
-	as := mem.NewAS(40)
-	p, err := New(as, Config{NumSlots: 2, MaxMemoryBytes: mib, GuardBytes: mib, Keys: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Allocate(mib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Free(s); err != nil {
-		t.Fatalf("first free: %v", err)
-	}
-	if err := p.Free(s); !errors.Is(err, ErrDoubleFree) {
-		t.Fatalf("second free: %v, want ErrDoubleFree", err)
-	}
-	if p.Available() != 2 {
-		t.Fatalf("available after double free = %d, want 2 (free list must not grow)", p.Available())
-	}
-	// A never-allocated slot and an out-of-range index are rejected too.
-	if err := p.Free(Slot{Index: 1}); !errors.Is(err, ErrDoubleFree) {
-		t.Fatalf("free of unallocated slot: %v, want ErrDoubleFree", err)
-	}
-	if err := p.Free(Slot{Index: 99}); !errors.Is(err, ErrDoubleFree) {
-		t.Fatalf("free of bogus index: %v, want ErrDoubleFree", err)
-	}
-	// Both slots remain individually allocatable.
-	if _, err := p.Allocate(mib); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Allocate(mib); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Allocate(mib); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("third allocate: %v, want ErrExhausted", err)
-	}
-}
-
-func TestPoolExhaustion(t *testing.T) {
-	as := mem.NewAS(40)
-	p, err := New(as, Config{NumSlots: 3, MaxMemoryBytes: mib, GuardBytes: mib, Keys: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := p.Allocate(64 * 1024); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := p.Allocate(64 * 1024); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want exhaustion", err)
-	}
-}
-
 // TestScalingMicrobench reproduces §6.4.2's shape: with 408 MB slots in
 // a fixed address budget, ColorGuard packs ≈15x more slots.
 func TestScalingMicrobench(t *testing.T) {
@@ -290,31 +175,4 @@ func TestScalingMicrobench(t *testing.T) {
 	if err := l1.Validate(); err != nil {
 		t.Errorf("striped layout invalid: %v", err)
 	}
-}
-
-// TestVMACountPressure: striping multiplies VMAs, which is why the
-// paper notes vm.max_map_count must be raised (§5.1).
-func TestVMACountPressure(t *testing.T) {
-	as := mem.NewAS(47)
-	as.MaxMapCount = 40
-	p, err := New(as, Config{NumSlots: 64, MaxMemoryBytes: mib, GuardBytes: 4 * mib, Keys: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastErr error
-	allocated := 0
-	for i := 0; i < 64; i++ {
-		if _, err := p.Allocate(mib); err != nil {
-			lastErr = err
-			break
-		}
-		allocated++
-	}
-	if lastErr == nil {
-		t.Fatal("expected to hit the map-count limit")
-	}
-	if !errors.Is(lastErr, mem.ErrMapCount) {
-		t.Fatalf("err = %v, want map-count", lastErr)
-	}
-	t.Logf("allocated %d slots before hitting vm.max_map_count=40", allocated)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 
-	"repro/internal/cpu"
 	"repro/internal/ir"
 	"repro/internal/sfi"
 	"repro/internal/telemetry"
@@ -51,7 +50,9 @@ func (inst *Instance) initMemory() {
 // Mechanically that is MADV_DONTNEED over the linear memory, machine
 // stack, and context block (zero-on-next-touch, so an idle warm
 // instance also drops its dirty pages — the density lever), a replay of
-// the module's initial state, and a fresh machine. VMA protections and
+// the module's initial state, and a machine returned to its just-built
+// state (cpu.Machine.Reset, which reuses the cache arrays a new machine
+// would allocate). VMA protections and
 // MPK colors are properties of the mappings, not the pages, so they
 // survive untouched; MTE granule tags live in the owning slab, which
 // Reset deliberately never touches (no teardown/re-tag charge — that
@@ -76,7 +77,7 @@ func (inst *Instance) Reset() error {
 		return err
 	}
 	inst.initMemory()
-	inst.Mach = cpu.NewMachine(inst.AS, inst.Mod.Prog)
+	inst.Mach.Reset()
 	inst.Mach.Tier = inst.tier
 	inst.bindHosts()
 	inst.Transitions = 0

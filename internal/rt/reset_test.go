@@ -13,7 +13,7 @@ import (
 
 // resetTestInstance places one instance of kernel k in a fresh slab of
 // the given kind.
-func resetTestInstance(t *testing.T, k workloads.Kernel, kind isolation.Kind) (*Instance, isolation.Backend) {
+func resetTestInstance(t *testing.T, k workloads.Kernel, kind isolation.Kind) (*Instance, *isolation.Backend) {
 	t.Helper()
 	mod, err := CompileModule(k.Build(false), sfi.DefaultConfig(sfi.ModeSegue))
 	if err != nil {
@@ -162,5 +162,51 @@ func TestResetKeepsTier(t *testing.T) {
 		if inst.Mach.Tier != tier {
 			t.Errorf("after Reset: tier %s, want %s", inst.Mach.Tier, tier)
 		}
+	}
+}
+
+// TestCloseReleasesRuntimeAreas: closing a pooled instance unmaps its
+// machine stack and context block from the slab's shared address space,
+// so repeated cold starts on one slab hold the resident pages and VMAs
+// of one cycle, not one per cycle. Close stays idempotent.
+func TestCloseReleasesRuntimeAreas(t *testing.T) {
+	k, err := workloads.FaaS().Find("hash-load-balance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range isolation.Kinds() {
+		inst, b := resetTestInstance(t, k, kind)
+		cycle := func(inst *Instance) {
+			if _, err := inst.Invoke(k.Entry, k.TestArgs...); err != nil {
+				t.Fatalf("%s: invoke: %v", kind, err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := inst.Close(); err != nil {
+					t.Fatalf("%s: close %d: %v", kind, i, err)
+				}
+			}
+		}
+		cycle(inst)
+		as := b.AS()
+		pages, vmas := as.ResidentPages(), as.VMACount()
+		for i := 0; i < 20; i++ {
+			slot, err := b.Allocate(uint64(inst.Mod.IR.MemMin) * ir.PageSize)
+			if err != nil {
+				t.Fatalf("%s: allocate: %v", kind, err)
+			}
+			next, err := NewInstance(inst.Mod, InstanceOptions{FSGSBASE: true, Place: isolation.Place(b, slot)})
+			if err != nil {
+				t.Fatalf("%s: instantiate: %v", kind, err)
+			}
+			cycle(next)
+		}
+		if as.ResidentPages() != pages || as.VMACount() != vmas {
+			t.Errorf("%s: after 21 cycles %d pages / %d VMAs, after 1 cycle %d / %d",
+				kind, as.ResidentPages(), as.VMACount(), pages, vmas)
+		}
+		if b.Available() != b.Capacity() {
+			t.Errorf("%s: %d of %d slots free after closing every instance", kind, b.Available(), b.Capacity())
+		}
+		b.Release()
 	}
 }

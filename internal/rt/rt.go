@@ -215,7 +215,7 @@ func (inst *Instance) Slot() isolation.Slot { return inst.place.Slot }
 
 // Backend returns the isolation backend owning the instance's slot, or
 // nil for standalone instances.
-func (inst *Instance) Backend() isolation.Backend { return inst.place.Backend }
+func (inst *Instance) Backend() *isolation.Backend { return inst.place.Backend }
 
 // NewInstance lays out and initializes an instance of mod.
 func NewInstance(mod *Module, opts InstanceOptions) (*Instance, error) {
@@ -390,17 +390,22 @@ func (inst *Instance) TransitionNs() (inNs, outNs float64) {
 	return c.CyclesToNanos(inst.transInCycles), c.CyclesToNanos(inst.transOutCycles)
 }
 
-// Close tears the instance down. Pooled instances recycle their slot
-// back to the owning backend (charging the backend's teardown cost);
-// standalone instances own their whole address space, which simply
-// becomes unreachable. Close is idempotent.
+// Close tears the instance down. Pooled instances unmap their machine
+// stack and context block from the slab's shared address space and
+// recycle their slot back to the owning backend (charging the backend's
+// teardown cost); standalone instances own their whole address space,
+// which simply becomes unreachable. Close is idempotent.
 func (inst *Instance) Close() error {
 	b := inst.place.Backend
 	if b == nil {
 		return nil
 	}
 	inst.place.Backend = nil
-	return b.Recycle(inst.place.Slot)
+	return errors.Join(
+		inst.AS.Munmap(inst.stackBase, inst.StackTop-inst.stackBase),
+		inst.AS.Munmap(inst.CtxBase, inst.ctxBytes),
+		b.Recycle(inst.place.Slot),
+	)
 }
 
 // ErrNoExport is returned by Invoke for unknown export names.

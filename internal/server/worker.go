@@ -31,13 +31,13 @@ func compileKernel(k workloads.Kernel, harden sfi.Harden) (*rt.Module, error) {
 // a fresh instance in it, invoke the kernel, recycle the slot.
 //
 // Backends are keyed by (kind, scheme): a slab's transition cost model
-// is fixed at Reserve, so requests under different transition schemes
-// must not share a slab.
+// is fixed at NewReserved, so requests under different transition
+// schemes must not share a slab.
 type worker struct {
 	s        *Server
 	id       int
 	maxBytes uint64 // largest linear memory any served kernel needs
-	backends map[backendKey]isolation.Backend
+	backends map[backendKey]*isolation.Backend
 
 	// warm pins recently-used instances (slot held, memory initialized)
 	// so a repeat (kernel, backend, scheme) pays an instance reset
@@ -65,7 +65,7 @@ func newWorker(s *Server, id int) *worker {
 		s:        s,
 		id:       id,
 		maxBytes: maxBytes,
-		backends: make(map[backendKey]isolation.Backend),
+		backends: make(map[backendKey]*isolation.Backend),
 		warm:     newWarmPool(),
 	}
 }
@@ -74,7 +74,7 @@ func newWorker(s *Server, id int) *worker {
 // first use (a worker that never sees an MTE request never pays for an
 // MTE slab, and a worker that never sees a zerocost request never pays
 // for a second slab of the same kind).
-func (w *worker) backend(kind isolation.Kind, scheme isolation.Scheme) (isolation.Backend, error) {
+func (w *worker) backend(kind isolation.Kind, scheme isolation.Scheme) (*isolation.Backend, error) {
 	key := backendKey{kind: kind, scheme: scheme}
 	if b, ok := w.backends[key]; ok {
 		return b, nil
@@ -98,10 +98,6 @@ func (w *worker) backend(kind isolation.Kind, scheme isolation.Scheme) (isolatio
 	b, err := isolation.NewReserved(kind, mem.NewAS(47), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("reserving %s backend: %w", kind, err)
-	}
-	if err := b.CheckIsolation(); err != nil {
-		_ = b.Release()
-		return nil, fmt.Errorf("%s slot layout unsafe: %w", kind, err)
 	}
 	w.backends[key] = b
 	return b, nil
